@@ -6,16 +6,16 @@
 //
 //   bench_cluster_scale [--nodes 10,100,1000,10000] [--jobs N]
 //                       [--budget-per-node W] [--out FILE.csv]
-//                       [--core reference|event]
 //                       [--event-diff] [--diff-out FILE.json]
 //
 // --out writes a CSV report (the CI facility-smoke job uploads it).
-// --event-diff appends the event-vs-reference sweep: for every size the
-// facility runs once on each engine single-threaded (speedup is the
-// wall-clock ratio, so the machine cancels out), then the event core
-// runs again at 1/2/4/8 workers over an 8-island build to measure shard
-// scaling. --diff-out writes the JSON that bench_guard.py --event-core
-// checks against bench/BENCH_event_core_baseline.json in CI.
+// --event-diff appends the event-vs-oracle sweep: for every size the
+// facility runs once on the event core and once on the round-loop test
+// oracle (tests/oracles/), single-threaded (speedup is the wall-clock
+// ratio, so the machine cancels out), then the event core runs again at
+// 2/4/8 workers over an 8-island build to measure shard scaling.
+// --diff-out writes the JSON that bench_guard.py --event-core checks
+// against bench/BENCH_event_core_baseline.json in CI.
 #include "bench_util.hpp"
 
 #include <chrono>
@@ -24,6 +24,8 @@
 
 #include "common/args.hpp"
 #include "common/error.hpp"
+#include "facility_reference.hpp"
+#include "sim/event_core.hpp"
 #include "sim/facility.hpp"
 
 namespace {
@@ -58,23 +60,26 @@ std::size_t islands_for(std::size_t nodes) {
 namespace {
 
 /// Whole-run and core-loop wall seconds for one facility run. The core
-/// wall excludes facility assembly — identical code on both engines —
-/// so the core ratio isolates what the engines implement differently.
+/// wall excludes facility assembly (the same code in the event core and
+/// the oracle), isolating what the two implement differently.
 struct TimedRun {
   double total_s = 0.0;
   double core_s = 0.0;
 };
 
-TimedRun time_facility(const ear::sim::FacilityConfig& cfg) {
+using FacilityEngine =
+    ear::sim::FacilityResult (*)(const ear::sim::FacilityConfig&);
+
+TimedRun time_facility(FacilityEngine engine, const char* name,
+                       std::size_t nodes,
+                       const ear::sim::FacilityConfig& cfg) {
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
-  const ear::sim::FacilityResult r = ear::sim::run_facility(cfg);
+  const ear::sim::FacilityResult r = engine(cfg);
   const double wall =
       std::chrono::duration<double>(Clock::now() - t0).count();
   for (const std::string& v : r.violations) {
-    std::printf("VIOLATION (%s core, %zu nodes): %s\n",
-                ear::sim::sim_core_name(cfg.core), cfg.jobs.size(),
-                v.c_str());
+    std::printf("VIOLATION (%s, %zu nodes): %s\n", name, nodes, v.c_str());
   }
   return {wall, r.walls.core_s};
 }
@@ -94,8 +99,6 @@ int main(int argc, char** argv) {
   // every scale while staying physically reachable.
   const double budget_per_node = args.get("budget-per-node", 200.0);
   const std::string out_path = args.get("out", std::string());
-  const sim::SimCore core =
-      sim::parse_sim_core(args.get("core", std::string("reference")));
   const bool event_diff = args.flag("event-diff");
   const std::string diff_out = args.get("diff-out", std::string());
 
@@ -125,10 +128,9 @@ int main(int argc, char** argv) {
         sim::make_facility_config(nodes, islands, job_count, bench::kSeed);
     cfg.budget = {static_cast<double>(nodes) * budget_per_node};
     cfg.sim_jobs = jobs;
-    cfg.core = core;
 
     const auto t0 = Clock::now();
-    const sim::FacilityResult r = sim::run_facility(cfg);
+    const sim::FacilityResult r = sim::run_facility_event(cfg);
     const double wall =
         std::chrono::duration<double>(Clock::now() - t0).count();
     const double node_rounds =
@@ -166,8 +168,8 @@ int main(int argc, char** argv) {
       "facility size (rounds amortise), and no run reports a violation.\n");
 
   if (event_diff) {
-    bench::banner("Event core vs reference loop (single-thread speedup + "
-                  "1..8 shard scaling over 8 islands)");
+    bench::banner("Event core vs oracle round loop (single-thread speedup "
+                  "+ 1..8 shard scaling over 8 islands)");
     const double busy_scale = args.get("busy-scale", 10.0);
     const unsigned host_cpus = std::thread::hardware_concurrency();
     std::printf("host cpus: %u (shard-scaling walls are only meaningful "
@@ -201,21 +203,21 @@ int main(int argc, char** argv) {
       // Run the catalog in its phase-stable regime: stretching the
       // synthesiser's iterations to multi-second phases (the paper's MPI
       // workloads iterate at 0.2-3 s) keeps most nodes busy for most
-      // rounds — the production regime, and the one where the reference
+      // rounds — the production regime, and the one where the oracle
       // loop pays its per-10 ms-period governor stepping.
       for (sim::FacilityJob& job : cfg.jobs) {
         job.work.iter_seconds *= busy_scale;
       }
 
-      cfg.core = sim::SimCore::kReference;
-      const TimedRun ref_1t = time_facility(cfg);
-      cfg.core = sim::SimCore::kEvent;
-      const TimedRun ev_1t = time_facility(cfg);
+      const TimedRun ref_1t =
+          time_facility(sim::run_facility_reference, "oracle", nodes, cfg);
+      const TimedRun ev_1t =
+          time_facility(sim::run_facility_event, "event core", nodes, cfg);
       const double speedup =
           ev_1t.total_s > 0.0 ? ref_1t.total_s / ev_1t.total_s : 0.0;
-      // Core-loop ratio: facility assembly is byte-identical shared code
-      // on both engines, so the FacilityWalls core wall isolates the
-      // round loops themselves — the quantity the event core changes.
+      // Core-loop ratio: facility assembly is the same code in both, so
+      // the FacilityWalls core wall isolates the round loops themselves —
+      // the quantity the event core changes.
       const double speedup_core =
           ev_1t.core_s > 0.0 ? ref_1t.core_s / ev_1t.core_s : 0.0;
 
@@ -223,7 +225,8 @@ int main(int argc, char** argv) {
       const std::size_t workers[3] = {2, 4, 8};
       for (std::size_t i = 0; i < 3; ++i) {
         cfg.sim_jobs = workers[i];
-        ev_w[i] = time_facility(cfg);
+        ev_w[i] = time_facility(sim::run_facility_event, "event core",
+                                nodes, cfg);
       }
       // Scaling efficiency at 8 workers over core walls (assembly does
       // not parallelise across workers): perfect would be core_1t / 8.
@@ -259,7 +262,7 @@ int main(int argc, char** argv) {
     if (json.is_open()) json << "\n  ]\n}\n";
     diff_table.print();
     std::printf(
-        "Speedup is wall-clock reference/event on one thread (machine\n"
+        "Speedup is wall-clock oracle/event on one thread (machine\n"
         "cancels in the ratio); core speedup compares only the round\n"
         "loops (facility assembly is shared code); scale eff @8 is\n"
         "event core 1w / (8 * event core 8w).\n");

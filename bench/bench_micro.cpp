@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "dynais/dynais.hpp"
+#include "dynais_reference.hpp"
 #include "metrics/accumulator.hpp"
 #include "policies/min_energy_eufs.hpp"
 #include "policies/registry.hpp"
@@ -44,7 +45,7 @@ void BM_DynaisPushNonPeriodic(benchmark::State& state) {
 BENCHMARK(BM_DynaisPushNonPeriodic);
 
 void BM_DynaisReferenceWorstCase(benchmark::State& state) {
-  // The pre-optimisation detector on the same all-distinct stream as
+  // The pre-optimisation detector (a test oracle) on the same stream as
   // BM_DynaisPushNonPeriodic: the in-repo "before" of the rewrite.
   dynais::ReferenceDynais dyn;
   std::uint32_t e = 0;

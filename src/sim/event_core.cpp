@@ -433,7 +433,7 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
       }
 
       // Fault tier: rounds outside every activity window are draw-free
-      // in both engines, so the schedule gate skips only dead scans.
+      // (here and in the oracle), so the schedule gate skips dead scans.
       if (fault_sched.any_active(r)) {
         for (const auto& f : cfg.fault_plan.specs) {
           if (!f.active_at(rnow)) continue;

@@ -1,8 +1,9 @@
-// Event-driven sharded facility engine.
+// Event-driven sharded facility engine — the only one.
 //
-// Same contract as run_facility_reference — one FacilityConfig in, one
-// FacilityResult out — but instead of stepping every node through every
-// 10 ms governor period of every control round, the engine:
+// One FacilityConfig in, one FacilityResult out. Instead of stepping every
+// node through every 10 ms governor period of every control round (what
+// the original round loop, now the test oracle in
+// tests/oracles/facility_reference.hpp, does), the engine:
 //
 //   * integrates each node's energy/time analytically through
 //     phase-stable stretches (simhw::SimNode::execute_stretch — memoised
@@ -15,13 +16,14 @@
 //   * merges cross-shard effects serially in shard-index order at
 //     barrier rounds, replaying readings, fault draws and job
 //     completions round-by-round from per-round snapshots — the exact
-//     order and arithmetic of the reference loop.
+//     order and arithmetic of the oracle's round loop.
 //
-// Equivalence: bitwise-identical to the reference loop whenever the UFS
-// dither gate is closed (cfg.ufs.dither_probability == 0 — neither
-// engine draws governor randomness then); tolerance-bounded otherwise
-// (the Bernoulli per-period dither average is replaced by its
-// expectation; see docs/performance.md for the bound).
+// Equivalence: bitwise-identical to the oracle whenever the UFS dither
+// gate is closed (cfg.ufs.dither_probability == 0 — neither draws
+// governor randomness then); tolerance-bounded otherwise (the Bernoulli
+// per-period dither average is replaced by its expectation; see
+// docs/performance.md for the bound). tests/test_event_core.cpp holds
+// both proofs.
 #pragma once
 
 #include "sim/facility.hpp"

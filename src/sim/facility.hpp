@@ -13,6 +13,9 @@
 // (worker-thread) count: nodes are advanced independently and every
 // reduction walks island/node index order.
 //
+// The engine is sim::run_facility_event (sim/event_core.hpp); the
+// original round loop is a test oracle in tests/oracles/.
+//
 // Chaos invariants (checked into FacilityResult::violations):
 //   * no non-finite energy/power anywhere in the ground truth;
 //   * the cap degrades gracefully — transient overruns are expected
@@ -26,7 +29,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,21 +41,13 @@
 
 namespace ear::sim {
 
-/// Simulation engine selection. kReference is the original
-/// round/tick loop, kept verbatim as the executable specification;
-/// kEvent is the event-driven sharded core that integrates closed-form
-/// through phase-stable stretches. The two produce bitwise-identical
-/// results whenever the UFS dither gate is closed (dither_probability
-/// == 0), and tolerance-bounded results otherwise (see
-/// docs/performance.md).
+/// Former engine switch. It has no effect: the event core is the only
+/// engine. It stays declared only because perfbench/src/facility_large.cpp
+/// assigns kEvent and perfbench/ changes only together with the
+/// benchmark; the next benchmark change deletes it.
 enum class SimCore {
-  kReference,
   kEvent,
 };
-
-/// Parse "reference" / "event" (CLI --core values); throws ConfigError.
-[[nodiscard]] SimCore parse_sim_core(const std::string& name);
-[[nodiscard]] const char* sim_core_name(SimCore core);
 
 /// One homogeneous partition of the facility.
 struct FacilityIsland {
@@ -83,10 +77,10 @@ struct FacilityConfig {
   simhw::NoiseModel noise{};
   /// UFS governor parameters for every node. dither_probability == 0
   /// closes the dither gate, which makes the event core bitwise-equal to
-  /// the reference loop (and both engines draw-free in the governor).
+  /// the test oracle's round loop (and both draw-free in the governor).
   simhw::HwUfsParams ufs{};
-  /// Engine: reference round loop or event-driven sharded core.
-  SimCore core = SimCore::kReference;
+  /// No effect (see SimCore).
+  SimCore core = SimCore::kEvent;
   /// Hard stop; reaching it with unfinished jobs is a violation.
   double max_sim_s = 36000.0;
   /// Documented cap slack: persistent overruns beyond this are a
@@ -95,11 +89,10 @@ struct FacilityConfig {
   std::size_t overrun_grace = 30;
 };
 
-/// Host-side wall-clock instrumentation, filled by both engines. Not
-/// part of the simulated result (differential tests ignore it): build
-/// covers facility assembly (clusters, daemons, federation) — identical
-/// code on either engine — and core covers the round loop itself, the
-/// part the engines implement differently.
+/// Host-side wall-clock instrumentation. Not part of the simulated
+/// result (differential tests ignore it): build covers facility assembly
+/// (clusters, daemons, federation) and core covers the round loop
+/// itself, the part the test oracle implements differently.
 struct FacilityWalls {
   double build_s = 0.0;
   double core_s = 0.0;
@@ -153,16 +146,6 @@ struct FacilityResult {
   [[nodiscard]] double mean_wait_s() const;
   [[nodiscard]] double mean_turnaround_s() const;
 };
-
-/// Run the facility to completion (or max_sim_s). Deterministic for a
-/// given config at any sim_jobs value. Dispatches on cfg.core.
-[[nodiscard]] FacilityResult run_facility(const FacilityConfig& cfg);
-
-/// The original round/tick loop — the executable specification the
-/// event core is differentially tested against. Always available
-/// regardless of cfg.core.
-[[nodiscard]] FacilityResult run_facility_reference(
-    const FacilityConfig& cfg);
 
 /// Synthesize a heterogeneous facility + job mix: `nodes` total nodes
 /// over `islands` partitions cycling the three node types, and

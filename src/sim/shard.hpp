@@ -3,7 +3,7 @@
 // A shard is one island: the facility's natural unit of isolation. Every
 // RNG stream inside a shard (its nodes' noise streams, its governors'
 // dither streams) derives from the shard seed `mix_seed(facility_seed,
-// shard_index)` — the same per-island seeding the reference loop uses —
+// shard_index)` — the same per-island seeding the oracle loop uses —
 // so shard advancement is fully independent of both the worker-thread
 // count and the other shards. Cross-shard effects (federated cap
 // re-splits, fault draws against the shared fault stream, job admission
@@ -14,7 +14,8 @@
 // Between barriers a shard advances autonomously through a *window* of
 // control rounds, recording per-round INM/clock snapshots so the serial
 // merge can replay readings, fault draws and completions round-by-round
-// in exactly the reference loop's order. The owner-thread discipline
+// in exactly the order of the round loop kept as the test oracle
+// (tests/oracles/facility_reference.hpp). The owner-thread discipline
 // follows the RROS per-CPU run-queue idiom cited in the roadmap: all
 // EAR_SHARD_LOCAL members are touched only by the shard's current owner
 // (one worker inside the parallel window advance, the merge thread
@@ -38,9 +39,8 @@ inline constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
 inline constexpr std::size_t kNoRound =
     std::numeric_limits<std::size_t>::max();
 
-/// Per-node execution/accounting state for the round loops (shared by the
-/// reference loop and the event core; the reference keeps one flat array,
-/// the event core one array per shard).
+/// Per-node execution/accounting state (one array per shard; the test
+/// oracle's round loop keeps one flat array of the same slots).
 struct NodeSlot {
   std::size_t job = kNoJob;
   simhw::WorkDemand demand{};

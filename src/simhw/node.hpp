@@ -111,8 +111,8 @@ class SimNode {
   /// the per-socket UFS state) and every deposit happens per call with
   /// the same values and order as idle(), so the node state afterwards
   /// is bitwise identical (proved in test_node.cpp). The event core
-  /// uses this on its round boundaries; the reference facility loop
-  /// keeps the naive recompute as the executable spec.
+  /// uses this on its round boundaries; the facility test oracle keeps
+  /// the naive recompute as the executable spec.
   void idle_cached(common::Secs dt);
 
   [[nodiscard]] const NodeConfig& config() const { return cfg_; }

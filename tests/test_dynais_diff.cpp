@@ -1,5 +1,6 @@
 // Differential proof that the incremental LevelDetector is observably
-// identical to the reference rescan implementation: golden, random
+// identical to the rescan implementation kept as the test oracle
+// (tests/oracles/dynais_reference.hpp): golden, random
 // (10^6 events) and adversarial almost-periodic streams all produce the
 // same Status/period/in_loop/signature sequence from both detectors, and
 // the hierarchical Dynais/ReferenceDynais pair agrees on every Result.
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "dynais_reference.hpp"
 
 namespace ear::dynais {
 namespace {

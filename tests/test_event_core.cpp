@@ -1,19 +1,22 @@
 // Differential suite for the event-driven sharded facility core: the
-// reference round loop is the executable specification, and the event
-// core must reproduce it bitwise whenever the UFS dither gate is closed
-// (dither_probability == 0 — neither engine draws governor randomness
-// then), across uncapped/capped x quiet/faulted configurations. With
-// dithering enabled the engines agree within a documented tolerance
-// (the event core replaces the Bernoulli per-period average with its
-// expectation; see docs/performance.md).
+// round loop in tests/oracles/ is the executable specification, and the
+// event core must reproduce it bitwise whenever the UFS dither gate is
+// closed (dither_probability == 0 — neither draws governor randomness
+// then), across uncapped/capped x quiet/faulted configurations and the
+// ear_sim facility CLI's own configurations. With dithering enabled the
+// two agree within a documented tolerance (the event core replaces the
+// Bernoulli per-period average with its expectation; see
+// docs/performance.md).
 #include "sim/event_core.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
-#include "common/error.hpp"
+#include "facility_reference.hpp"
+#include "faults/fault_plan.hpp"
 #include "sim/facility.hpp"
 #include "sim/shard.hpp"
 
@@ -67,9 +70,12 @@ FacilityConfig dither_free(std::size_t nodes, std::size_t islands,
   return cfg;
 }
 
-FacilityResult run_core(FacilityConfig cfg, SimCore core) {
-  cfg.core = core;
-  return run_facility(cfg);
+/// `ear_sim facility --nodes 16 --islands 2 --job-count 8 --seed S
+/// --dither 0`, with the CLI's default worker count (0 = auto).
+FacilityConfig cli_facility(std::uint64_t seed) {
+  FacilityConfig cfg = dither_free(16, 2, 8, seed);
+  cfg.sim_jobs = 0;
+  return cfg;
 }
 
 void add_chaos(FacilityConfig& cfg) {
@@ -88,37 +94,32 @@ void add_chaos(FacilityConfig& cfg) {
 
 TEST(EventCore, BitwiseEqualUncappedQuiet) {
   const FacilityConfig cfg = dither_free(24, 3, 10, 3);
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_bitwise_equal(run_facility_event(cfg), run_facility_reference(cfg));
 }
 
 TEST(EventCore, BitwiseEqualCappedQuiet) {
   FacilityConfig cfg = dither_free(16, 2, 10, 5);
   cfg.budget = {16 * 200.0};  // binds between idle floor and busy draw
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_bitwise_equal(run_facility_event(cfg), run_facility_reference(cfg));
 }
 
 TEST(EventCore, BitwiseEqualUncappedFaulted) {
   FacilityConfig cfg = dither_free(16, 2, 10, 7);
   add_chaos(cfg);
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_bitwise_equal(run_facility_event(cfg), run_facility_reference(cfg));
 }
 
 TEST(EventCore, BitwiseEqualCappedFaulted) {
   FacilityConfig cfg = dither_free(16, 2, 12, 11);
   cfg.budget = {16 * 200.0};
   add_chaos(cfg);
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_bitwise_equal(run_facility_event(cfg), run_facility_reference(cfg));
 }
 
 TEST(EventCore, BitwiseEqualStrictFifo) {
   FacilityConfig cfg = dither_free(24, 3, 12, 13);
   cfg.backfill = false;
-  expect_bitwise_equal(run_core(cfg, SimCore::kEvent),
-                       run_core(cfg, SimCore::kReference));
+  expect_bitwise_equal(run_facility_event(cfg), run_facility_reference(cfg));
 }
 
 TEST(EventCore, BitwiseEqualWedgedHorizon) {
@@ -126,26 +127,47 @@ TEST(EventCore, BitwiseEqualWedgedHorizon) {
   // round with the same violation text.
   FacilityConfig cfg = dither_free(8, 2, 8, 17);
   cfg.max_sim_s = 40.0;
-  const FacilityResult ev = run_core(cfg, SimCore::kEvent);
-  const FacilityResult ref = run_core(cfg, SimCore::kReference);
+  const FacilityResult ev = run_facility_event(cfg);
+  const FacilityResult ref = run_facility_reference(cfg);
   EXPECT_FALSE(ref.violations.empty());
   expect_bitwise_equal(ev, ref);
 }
 
+TEST(EventCore, BitwiseEqualCliFacility) {
+  const FacilityConfig cfg = cli_facility(1);
+  const FacilityResult ref = run_facility_reference(cfg);
+  EXPECT_TRUE(ref.violations.empty());  // the CLI runs it with --check
+  expect_bitwise_equal(run_facility_event(cfg), ref);
+}
+
+TEST(EventCore, BitwiseEqualCliFacilityChaos) {
+  FacilityConfig cfg = cli_facility(7);
+  cfg.fault_plan = faults::load_fault_plan(
+      EAR_SOURCE_DIR "/examples/facility_chaos.plan");
+  ASSERT_EQ(cfg.fault_plan.specs.size(), 3u);
+  const FacilityResult ref = run_facility_reference(cfg);
+  EXPECT_TRUE(ref.violations.empty());
+  expect_bitwise_equal(run_facility_event(cfg), ref);
+}
+
 TEST(EventCore, BitwiseDeterministicAcrossWorkerCounts) {
-  FacilityConfig cfg = dither_free(16, 4, 10, 19);
-  add_chaos(cfg);
-  cfg.core = SimCore::kEvent;
-  FacilityResult base{};
-  for (const std::size_t jobs :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    cfg.sim_jobs = jobs;
-    const FacilityResult r = run_facility(cfg);
-    if (jobs == 1) {
-      base = r;
-      continue;
+  // Chaos included on purpose: the fault stream must not depend on the
+  // worker count either; the dithered config also covers the per-shard
+  // governor dither streams.
+  for (FacilityConfig cfg : {dither_free(16, 4, 10, 19),
+                             make_facility_config(16, 2, 10, 5)}) {
+    add_chaos(cfg);
+    FacilityResult base{};
+    for (const std::size_t jobs :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      cfg.sim_jobs = jobs;
+      const FacilityResult r = run_facility_event(cfg);
+      if (jobs == 1) {
+        base = r;
+        continue;
+      }
+      expect_bitwise_equal(r, base);
     }
-    expect_bitwise_equal(r, base);
   }
 }
 
@@ -157,8 +179,8 @@ TEST(EventCore, DitheredRunsAgreeWithinDocumentedTolerance) {
   // 2% is the enforced envelope, measured drift is well under it).
   const FacilityConfig cfg = make_facility_config(16, 2, 10, 23);
   ASSERT_GT(cfg.ufs.dither_probability, 0.0);
-  const FacilityResult ev = run_core(cfg, SimCore::kEvent);
-  const FacilityResult ref = run_core(cfg, SimCore::kReference);
+  const FacilityResult ev = run_facility_event(cfg);
+  const FacilityResult ref = run_facility_reference(cfg);
 
   EXPECT_TRUE(ev.violations.empty());
   EXPECT_TRUE(ref.violations.empty());
@@ -187,14 +209,6 @@ TEST(EventCore, EventQueueOrdersByRoundThenKindThenPayload) {
   EXPECT_EQ(q.pop().payload, 2u);
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.next_round(), EventQueue::npos);
-}
-
-TEST(EventCore, ParseSimCoreRoundTrips) {
-  EXPECT_EQ(parse_sim_core("reference"), SimCore::kReference);
-  EXPECT_EQ(parse_sim_core("event"), SimCore::kEvent);
-  EXPECT_STREQ(sim_core_name(SimCore::kEvent), "event");
-  EXPECT_STREQ(sim_core_name(SimCore::kReference), "reference");
-  EXPECT_THROW((void)parse_sim_core("warp"), common::ConfigError);
 }
 
 }  // namespace

@@ -1,19 +1,21 @@
-// Facility-tier tests: the synthesized facility drains cleanly, results
-// are bitwise-deterministic at any worker count, the federated cap
-// throttles and degrades gracefully, and island dropout/rejoin chaos
-// leaves every invariant intact.
+// Facility-tier tests: the synthesized facility drains cleanly, the
+// federated cap throttles and degrades gracefully, and island
+// dropout/rejoin chaos leaves every invariant intact. Worker-count
+// determinism and the oracle proofs are in test_event_core.cpp.
 #include "sim/facility.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
+#include "sim/event_core.hpp"
+
 namespace ear::sim {
 namespace {
 
 TEST(Facility, SyntheticFacilityDrainsClean) {
   const FacilityConfig cfg = make_facility_config(8, 2, 6, 3);
-  const FacilityResult r = run_facility(cfg);
+  const FacilityResult r = run_facility_event(cfg);
   EXPECT_TRUE(r.violations.empty()) << (r.violations.empty()
                                             ? ""
                                             : r.violations.front());
@@ -40,54 +42,10 @@ TEST(Facility, SyntheticFacilityDrainsClean) {
               1e-6 * r.facility_energy_j);
 }
 
-TEST(Facility, BitwiseDeterministicAcrossWorkerCounts) {
-  // Chaos included on purpose: the fault stream must not depend on the
-  // worker count either.
-  FacilityConfig cfg = make_facility_config(16, 2, 10, 5);
-  cfg.fault_plan.specs.push_back(
-      {.family = faults::FaultFamily::kNodeDropout,
-       .node = 1,
-       .start_s = 1.0,
-       .end_s = 6.0,
-       .probability = 0.7});
-  cfg.fault_plan.specs.push_back(
-      {.family = faults::FaultFamily::kIslandDropout,
-       .island = 1,
-       .start_s = 2.0,
-       .end_s = 8.0});
-
-  FacilityResult base{};
-  for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
-                                 std::size_t{8}}) {
-    cfg.sim_jobs = jobs;
-    const FacilityResult r = run_facility(cfg);
-    if (jobs == 1) {
-      base = r;
-      continue;
-    }
-    // Bitwise equality: any cross-thread reduction-order leak shows up
-    // as a ULP difference here.
-    EXPECT_EQ(r.makespan_s, base.makespan_s) << jobs << " workers";
-    EXPECT_EQ(r.facility_energy_j, base.facility_energy_j);
-    EXPECT_EQ(r.peak_power_w, base.peak_power_w);
-    EXPECT_EQ(r.worst_overrun_w, base.worst_overrun_w);
-    EXPECT_EQ(r.rounds, base.rounds);
-    EXPECT_EQ(r.cap_overrun_rounds, base.cap_overrun_rounds);
-    EXPECT_EQ(r.redistributions, base.redistributions);
-    EXPECT_TRUE(r.faults == base.faults);
-    ASSERT_EQ(r.jobs.size(), base.jobs.size());
-    for (std::size_t i = 0; i < r.jobs.size(); ++i) {
-      EXPECT_EQ(r.jobs[i].start_s, base.jobs[i].start_s);
-      EXPECT_EQ(r.jobs[i].end_s, base.jobs[i].end_s);
-      EXPECT_EQ(r.jobs[i].energy_j, base.jobs[i].energy_j);
-    }
-  }
-}
-
 TEST(Facility, TightCapThrottlesWithinDocumentedSlack) {
   FacilityConfig cfg = make_facility_config(8, 2, 6, 7);
   cfg.budget = {8 * 200.0};  // binds between idle floor and busy draw
-  const FacilityResult r = run_facility(cfg);
+  const FacilityResult r = run_facility_event(cfg);
   EXPECT_TRUE(r.violations.empty()) << (r.violations.empty()
                                             ? ""
                                             : r.violations.front());
@@ -103,7 +61,7 @@ TEST(Facility, TightCapThrottlesWithinDocumentedSlack) {
 TEST(Facility, UncappedFacilityNeverThrottles) {
   FacilityConfig cfg = make_facility_config(8, 2, 6, 7);
   cfg.budget = {0.0};  // federation disabled
-  const FacilityResult r = run_facility(cfg);
+  const FacilityResult r = run_facility_event(cfg);
   EXPECT_TRUE(r.violations.empty());
   EXPECT_DOUBLE_EQ(r.budget_w, 0.0);
   EXPECT_EQ(r.redistributions, 0u);
@@ -130,7 +88,7 @@ TEST(Facility, IslandDropoutRejoinUnderCapDegradesGracefully) {
        .start_s = 1.0,
        .end_s = 12.0,
        .probability = 0.6});
-  const FacilityResult r = run_facility(cfg);
+  const FacilityResult r = run_facility_event(cfg);
 
   // Graceful degradation: the chaos is visible in the accounting but no
   // invariant broke — no crash, no NaN, no persistent overrun beyond the

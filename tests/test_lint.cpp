@@ -194,7 +194,7 @@ TEST(LintDeep, SubsumedIterationRuleKeepsItsId) {
 
 namespace mutant {
 
-// A miniature of sim/facility.cpp's round loop: per-slot readings are
+// A miniature of the facility round loop: per-slot readings are
 // written from the parallel region, then merged serially. `serial`
 // toggles whether the merge stays outside the region (shipped shape)
 // or is hoisted into it (the mutant the annotation must catch).

@@ -15,16 +15,17 @@
 //       Run the learning phase and dump the coefficient table.
 //   ear_sim facility [--nodes N] [--islands K] [--job-count J]
 //                    [--budget W] [--seed S] [--faults PLAN] [--check]
-//       Facility tier: heterogeneous islands, a job arrival stream and
-//       hierarchical EARGM federation under a facility-wide cap;
-//       --check exits non-zero when a chaos invariant is violated.
+//       Facility tier on the event-driven sharded engine: heterogeneous
+//       islands, a job arrival stream and hierarchical EARGM federation
+//       under a facility-wide cap; --check exits non-zero when a chaos
+//       invariant is violated. Unknown options exit 2.
 //
 // All run/sweep commands accept --jobs N (0 = all cores); the
 // EAR_SIM_JOBS environment variable sets the default. Results are
 // bitwise independent of the job count.
-#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -38,6 +39,7 @@
 #include "service/trace.hpp"
 #include "sim/campaign.hpp"
 #include "sim/chaos.hpp"
+#include "sim/event_core.hpp"
 #include "sim/facility.hpp"
 #include "policies/registry.hpp"
 #include "sim/experiment.hpp"
@@ -69,13 +71,11 @@ int usage() {
       "        (also spelled: ear_sim --chaos --faults PLAN)\n"
       "  facility [--nodes N] [--islands K] [--job-count J] [--budget W]\n"
       "        [--seed S] [--round S] [--faults PLAN] [--no-backfill]\n"
-      "        [--jobs N] [--check] [--core reference|event|both]\n"
-      "        [--dither P]\n"
-      "        heterogeneous islands + job queue + EARGM federation\n"
-      "        (--budget 0 = uncapped; --check fails on violations;\n"
-      "         --core event = event-driven sharded engine, both = run\n"
-      "         the two engines and diff them — bitwise when --dither 0;\n"
-      "         --dither sets the UFS dither probability)\n"
+      "        [--jobs N] [--check] [--dither P]\n"
+      "        heterogeneous islands + job queue + EARGM federation on\n"
+      "        the event-driven sharded engine (--budget 0 = uncapped;\n"
+      "        --check fails on violations; --dither sets the UFS dither\n"
+      "        probability; unknown options are rejected)\n"
       "  serve --spec FILE --store DIR [--jobs N] [--fresh]\n"
       "        [--halt-after N] [--slot-delay-ms MS]\n"
       "        crash-safe sweep service: run the spec's grid into a\n"
@@ -316,6 +316,16 @@ int cmd_chaos(const common::ArgParser& args) {
 }
 
 int cmd_facility(const common::ArgParser& args) {
+  static const std::set<std::string> known = {
+      "nodes", "islands", "job-count", "budget", "seed",        "round",
+      "jobs",  "faults",  "dither",    "check",  "no-backfill"};
+  for (const std::string& name : args.option_names()) {
+    if (known.count(name) == 0) {
+      std::fprintf(stderr, "ear_sim facility: unknown option --%s\n",
+                   name.c_str());
+      return usage();
+    }
+  }
   const auto nodes =
       static_cast<std::size_t>(args.get("nodes", std::int64_t{64}));
   const auto islands =
@@ -338,56 +348,14 @@ int cmd_facility(const common::ArgParser& args) {
   cfg.ufs.dither_probability =
       args.get("dither", cfg.ufs.dither_probability);
 
-  const std::string core = args.get("core", std::string("reference"));
-  if (core == "both") {
-    // In-process differential: the reference loop is the executable
-    // spec; with the dither gate closed the event core must match it
-    // bitwise, otherwise within the documented tolerance.
-    sim::FacilityConfig ev_cfg = cfg;
-    ev_cfg.core = sim::SimCore::kEvent;
-    cfg.core = sim::SimCore::kReference;
-    const sim::FacilityResult ref = sim::run_facility(cfg);
-    const sim::FacilityResult ev = sim::run_facility(ev_cfg);
-    sim::print_facility_report(ref);
-    const bool bitwise = cfg.ufs.dither_probability == 0.0;
-    double worst_rel = 0.0;
-    std::size_t mismatches = 0;
-    for (std::size_t j = 0; j < ref.jobs.size(); ++j) {
-      const double a = ev.jobs[j].energy_j;
-      const double b = ref.jobs[j].energy_j;
-      if (b != 0.0) worst_rel = std::max(worst_rel, std::fabs(a - b) /
-                                                        std::fabs(b));
-      if (a != b || ev.jobs[j].end_s != ref.jobs[j].end_s) ++mismatches;
-    }
-    const bool rounds_equal = ev.rounds == ref.rounds;
-    const bool energy_equal =
-        ev.facility_energy_j == ref.facility_energy_j;
-    const bool ok = bitwise
-                        ? (mismatches == 0 && rounds_equal && energy_equal)
-                        : worst_rel <= 0.02;
-    std::printf(
-        "event-vs-reference: %zu/%zu jobs %s, rounds %zu vs %zu, "
-        "facility energy rel diff %.3e, worst job rel diff %.3e -> %s\n",
-        ref.jobs.size() - mismatches, ref.jobs.size(),
-        bitwise ? "bitwise-equal" : "compared", ev.rounds, ref.rounds,
-        ref.facility_energy_j != 0.0
-            ? std::fabs(ev.facility_energy_j - ref.facility_energy_j) /
-                  std::fabs(ref.facility_energy_j)
-            : 0.0,
-        worst_rel, ok ? "OK" : "DIVERGED");
-    if (args.flag("check") && (!ok || !ref.violations.empty())) return 1;
-    return 0;
-  }
-  cfg.core = sim::parse_sim_core(core);
-
-  const sim::FacilityResult result = sim::run_facility(cfg);
+  const sim::FacilityResult result = sim::run_facility_event(cfg);
   sim::print_facility_report(result);
   std::printf("%s: %zu jobs over %zu nodes in %zu islands, %zu rounds, "
-              "%zu invariant violation(s) [%s core]\n",
+              "%zu invariant violation(s)\n",
               result.violations.empty() ? "facility campaign clean"
                                         : "FACILITY FAILURE",
               result.jobs.size(), nodes, islands, result.rounds,
-              result.violations.size(), sim::sim_core_name(cfg.core));
+              result.violations.size());
   if (args.flag("check") && !result.violations.empty()) return 1;
   return 0;
 }
