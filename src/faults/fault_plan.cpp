@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "simhw/msr.hpp"
 
 namespace ear::faults {
 
@@ -82,6 +83,15 @@ void apply(FaultSpec& f, const std::string& key, const std::string& value,
                         ": register expects a non-negative integer");
     }
     f.reg = static_cast<std::uint32_t>(v);
+    // Only the modelled registers can be written or locked; a fault on
+    // any other address could never fire.
+    if (f.reg != simhw::kMsrUncoreRatioLimit &&
+        f.reg != simhw::kMsrEnergyPerfBias) {
+      throw ConfigError("fault plan line " + std::to_string(line) +
+                        ": register must be 1568 (0x620, "
+                        "UNCORE_RATIO_LIMIT) or 432 (0x1B0, "
+                        "ENERGY_PERF_BIAS)");
+    }
   } else {
     throw ConfigError("fault plan line " + std::to_string(line) +
                       ": unknown key '" + key + "'");

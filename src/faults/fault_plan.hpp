@@ -61,7 +61,8 @@ struct FaultSpec {
   /// Family-specific magnitude: joules for inm_noise, seconds (clock
   /// jump) or relative counter distortion for pmu_glitch.
   double magnitude = 0.0;
-  /// Register address for MSR faults.
+  /// Register address for MSR faults: 0x620 or 0x1B0, the two registers
+  /// simhw::MsrFile models.
   std::uint32_t reg = 0x620;
 
   [[nodiscard]] bool applies_to_node(std::size_t n) const {

@@ -6,8 +6,9 @@
 // tests/oracles/facility_reference.hpp, does), the engine:
 //
 //   * integrates each node's energy/time analytically through
-//     phase-stable stretches (simhw::SimNode::execute_stretch — memoised
-//     iteration kernel + closed-form UFS governor integration);
+//     phase-stable stretches (simhw::SimNode::execute_stretch — one
+//     kernel evaluation per operating point + closed-form UFS governor
+//     integration);
 //   * advances shard-local state (one shard per island, per-shard RNG
 //     streams rooted at mix_seed(seed, island)) in parallel through
 //     multi-round *windows* whenever no control-plane event (job

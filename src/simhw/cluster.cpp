@@ -1,6 +1,7 @@
 #include "simhw/cluster.hpp"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -11,9 +12,10 @@ Cluster::Cluster(const NodeConfig& cfg, std::size_t count, std::uint64_t seed,
                  NoiseModel noise, HwUfsParams ufs) {
   EAR_CHECK_MSG(count > 0, "a cluster needs at least one node");
   common::SplitMix64 seeder(seed);
+  const auto shared = std::make_shared<const NodeConfig>(cfg);
   nodes_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    nodes_.emplace_back(cfg, seeder.next(), noise, ufs);
+    nodes_.emplace_back(shared, seeder.next(), noise, ufs);
   }
 }
 

@@ -10,7 +10,7 @@ namespace ear::simhw {
 
 class Cluster {
  public:
-  /// Build `count` nodes from the same config, independently seeded.
+  /// Build `count` nodes sharing one copy of `cfg`, independently seeded.
   Cluster(const NodeConfig& cfg, std::size_t count, std::uint64_t seed,
           NoiseModel noise = {}, HwUfsParams ufs = {});
 

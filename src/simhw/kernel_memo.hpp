@@ -1,19 +1,22 @@
 // IterationMemo: memoised evaluate_iteration() over the P-state × IMC grid.
 //
+// Not used by src/: SimNode evaluates the kernel directly (see
+// docs/performance.md, "Iteration kernel: evaluated directly"). It stays
+// compiled only because perfbench's layer probes still measure it, and
+// goes with them.
+//
 // The analytic performance model is pure: for a fixed NodeConfig and
 // WorkDemand, the result depends only on (f_cpu, f_imc), and both
 // frequencies live on small enumerable grids (the P-state ladder and the
-// 100 MHz uncore window — a few hundred points total). Policies project
-// the same points repeatedly (IMC searches, pstate selection, the
-// campaign's grid cells), so one node-local table turns those repeats
-// into a fetch.
+// 100 MHz uncore window — a few hundred points total), so a table over
+// that grid turns repeated evaluations into fetches. Policies and IMC
+// searches never reached such a table: they project through the learned
+// models, not through the node kernel.
 //
 // Determinism: the table stores the *noise-free* model output, bit for
-// bit — run-to-run noise is applied by SimNode after the lookup, exactly
-// as it was applied after the direct call before. Off-grid frequencies
-// (e.g. the dither-averaged uncore frequency of a finished iteration)
-// fall through to a direct evaluation, so results never depend on whether
-// a point happened to be cached.
+// bit. Off-grid frequencies (e.g. the dither-averaged uncore frequency of
+// a finished iteration) fall through to a direct evaluation, so results
+// never depend on whether a point happened to be cached.
 #pragma once
 
 #include <cstddef>
@@ -30,8 +33,7 @@ namespace ear::simhw {
 class IterationMemo {
  public:
   /// The memo is bound to one node configuration; `evaluate` must be
-  /// called with that same configuration (SimNode's config is immutable
-  /// after construction, which is what makes the binding safe).
+  /// called with that same configuration.
   explicit IterationMemo(const NodeConfig& cfg);
 
   /// Same contract (and bitwise-identical results) as

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
+#include "common/error.hpp"
 
 namespace ear::simhw {
 
@@ -46,28 +47,29 @@ UncoreRatioLimit UncoreRatioLimit::decode(std::uint64_t raw) {
   };
 }
 
+MsrFile::Register& MsrFile::reg(std::uint32_t addr) {
+  EAR_CHECK_MSG(addr == kMsrUncoreRatioLimit || addr == kMsrEnergyPerfBias,
+                "MSR address is not modelled");
+  return addr == kMsrUncoreRatioLimit ? uncore_ : epb_;
+}
+
 std::uint64_t MsrFile::read(std::uint32_t addr) const {
-  if (addr == kMsrUncoreRatioLimit) return uncore_raw_;
-  if (addr == kMsrEnergyPerfBias) return epb_raw_;
-  const auto it = regs_.find(addr);
-  return it == regs_.end() ? 0 : it->second;
+  if (addr == kMsrUncoreRatioLimit) return uncore_.value;
+  if (addr == kMsrEnergyPerfBias) return epb_.value;
+  return 0;
 }
 
 void MsrFile::write(std::uint32_t addr, std::uint64_t value) {
+  Register& r = reg(addr);
   // Model the SDM-documented layout of the registers we emulate: a write
   // that sets reserved bits is a driver bug the real hardware would #GP
   // on or silently mangle, so checked builds refuse it.
-  switch (addr) {
-    case kMsrUncoreRatioLimit:
-      EAR_EXPECT_MSG((value & ~kUncoreRatioWritableBits) == 0,
-                     "reserved bits set in UNCORE_RATIO_LIMIT write");
-      break;
-    case kMsrEnergyPerfBias:
-      EAR_EXPECT_MSG(value <= kEpbMax,
-                     "ENERGY_PERF_BIAS hint exceeds 4-bit range");
-      break;
-    default:
-      break;
+  if (addr == kMsrUncoreRatioLimit) {
+    EAR_EXPECT_MSG((value & ~kUncoreRatioWritableBits) == 0,
+                   "reserved bits set in UNCORE_RATIO_LIMIT write");
+  } else {
+    EAR_EXPECT_MSG(value <= kEpbMax,
+                   "ENERGY_PERF_BIAS hint exceeds 4-bit range");
   }
   ++writes_;
   // Fault hook after validation: an injected drop models a write that was
@@ -75,23 +77,20 @@ void MsrFile::write(std::uint32_t addr, std::uint64_t value) {
   if (interceptor_ != nullptr && !interceptor_->allow_write(addr, value)) {
     return;
   }
-  if (locked_.count(addr) != 0) return;  // silently dropped
-  regs_[addr] = value;
-  if (addr == kMsrUncoreRatioLimit) {
-    uncore_raw_ = value;
-    uncore_decoded_ = UncoreRatioLimit::decode(value);
-  } else if (addr == kMsrEnergyPerfBias) {
-    epb_raw_ = value;
-  }
+  if (!r.locked) r.value = value;  // locked: silently dropped
 }
 
-void MsrFile::lock(std::uint32_t addr) { locked_.insert(addr); }
+void MsrFile::lock(std::uint32_t addr) { reg(addr).locked = true; }
 
 bool MsrFile::is_locked(std::uint32_t addr) const {
-  return locked_.count(addr) != 0;
+  if (addr == kMsrUncoreRatioLimit) return uncore_.locked;
+  if (addr == kMsrEnergyPerfBias) return epb_.locked;
+  return false;
 }
 
-UncoreRatioLimit MsrFile::uncore_limit() const { return uncore_decoded_; }
+UncoreRatioLimit MsrFile::uncore_limit() const {
+  return UncoreRatioLimit::decode(uncore_.value);
+}
 
 void MsrFile::set_uncore_limit(const UncoreRatioLimit& limit) {
   EAR_EXPECT_MSG(limit.min_freq <= limit.max_freq,

@@ -1,16 +1,15 @@
 // Model Specific Register (MSR) emulation.
 //
 // The real EAR daemon writes uncore limits through /dev/cpu/*/msr. We
-// emulate the per-socket register file and in particular MSR 0x620
-// (UNCORE_RATIO_LIMIT): bits 6:0 hold the *maximum* uncore ratio and bits
-// 14:8 the *minimum* uncore ratio, in units of 100 MHz (SDM vol. 4).
+// emulate the two registers of the per-socket file the paper's node
+// touches: MSR 0x620 (UNCORE_RATIO_LIMIT), where bits 6:0 hold the
+// *maximum* uncore ratio and bits 14:8 the *minimum* uncore ratio, in
+// units of 100 MHz (SDM vol. 4), and MSR 0x1B0 (IA32_ENERGY_PERF_BIAS).
 // Setting min == max pins the uncore clock; leaving a range lets the
 // hardware UFS control loop pick a value inside it.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/units.hpp"
 
@@ -51,10 +50,12 @@ class MsrWriteInterceptor {
                                          std::uint64_t value) = 0;
 };
 
-/// Per-socket register file. Unknown registers read as 0, like a freshly
-/// cleared MSR; writes create them. Registers may be *locked* (as BIOSes
-/// lock UNCORE_RATIO_LIMIT on some platforms): writes to a locked
-/// register are silently dropped — software must read back to notice.
+/// Per-socket register file holding the two modelled registers,
+/// UNCORE_RATIO_LIMIT and ENERGY_PERF_BIAS. Any other address reads as 0,
+/// like a freshly cleared MSR; writing or locking one is a caller bug
+/// (EAR_CHECK). Registers may be *locked* (as BIOSes lock
+/// UNCORE_RATIO_LIMIT on some platforms): writes to a locked register are
+/// silently dropped — software must read back to notice.
 class MsrFile {
  public:
   [[nodiscard]] std::uint64_t read(std::uint32_t addr) const;
@@ -79,19 +80,17 @@ class MsrFile {
   [[nodiscard]] std::uint64_t write_count() const { return writes_; }
 
  private:
-  std::unordered_map<std::uint32_t, std::uint64_t> regs_;
-  std::unordered_set<std::uint32_t> locked_;
+  struct Register {
+    std::uint64_t value = 0;
+    bool locked = false;
+  };
+  /// The modelled register at `addr`; EAR_CHECK failure for any other.
+  [[nodiscard]] Register& reg(std::uint32_t addr);
+
+  Register uncore_;  // 0x620
+  Register epb_;     // 0x1B0
   std::uint64_t writes_ = 0;
   MsrWriteInterceptor* interceptor_ = nullptr;
-  // Hot-register mirror. The governor and stretch paths read
-  // UNCORE_RATIO_LIMIT and ENERGY_PERF_BIAS once per control step, and
-  // the unordered_map find dominates those reads; landed writes keep
-  // these fields coherent with regs_ so reads of the two hot addresses
-  // (and the decoded uncore window) never touch the map. Zero-initial
-  // values match the "unknown registers read as 0" contract.
-  std::uint64_t uncore_raw_ = 0;
-  UncoreRatioLimit uncore_decoded_{};
-  std::uint64_t epb_raw_ = 0;
 };
 
 }  // namespace ear::simhw

@@ -26,23 +26,48 @@ PowerBreakdown scale(PowerBreakdown p, double factor) {
   p.gpu.value *= factor;
   return p;
 }
+
+/// Time-averaged clock of an active core: the VPI-weighted blend of the
+/// requested frequency and the AVX512 licence cap, in kHz.
+double active_core_khz(const NodeConfig& cfg, const WorkDemand& demand,
+                       Freq f_cpu) {
+  const Freq f_cap = cfg.pstates.avx512_effective(f_cpu);
+  return (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
+         demand.vpi * static_cast<double>(f_cap.as_khz());
+}
+
+/// Reported core clock: AVX512 licence throttling shows up in the
+/// APERF-style average (the paper's DGEMM reads 2.19 against a 2.40
+/// request), and idle cores dilute it on mostly-idle nodes.
+double reported_core_khz(const NodeConfig& cfg, const WorkDemand& demand,
+                         Freq f_cpu) {
+  const double active_khz = active_core_khz(cfg, demand, f_cpu);
+  const double active = static_cast<double>(demand.active_cores);
+  const double idle =
+      static_cast<double>(cfg.total_cores() - demand.active_cores);
+  const double total = static_cast<double>(cfg.total_cores());
+  return total > 0.0
+             ? (active * active_khz * kCoreFreqDroop +
+                idle * static_cast<double>(kIdleReportFreq.as_khz())) /
+                   total
+             : 0.0;
+}
 }  // namespace
 
-SimNode::SimNode(NodeConfig cfg, std::uint64_t seed, NoiseModel noise,
-                 HwUfsParams ufs)
+SimNode::SimNode(std::shared_ptr<const NodeConfig> cfg, std::uint64_t seed,
+                 NoiseModel noise, HwUfsParams ufs)
     : cfg_(std::move(cfg)),
       noise_(noise),
       rng_(seed),
-      memo_(cfg_),
-      pstate_(cfg_.pstates.nominal_pstate()),
-      rapl_(cfg_.sockets) {
+      pstate_(cfg_->pstates.nominal_pstate()),
+      rapl_(cfg_->sockets) {
   common::SplitMix64 seeder(seed ^ 0x5eed);
-  for (std::size_t s = 0; s < cfg_.sockets; ++s) {
+  for (std::size_t s = 0; s < cfg_->sockets; ++s) {
     msrs_.emplace_back();
     // After boot the register holds the full supported window.
     msrs_.back().set_uncore_limit(
-        {.max_freq = cfg_.uncore.max(), .min_freq = cfg_.uncore.min()});
-    governors_.emplace_back(cfg_, ufs, seeder.next());
+        {.max_freq = cfg_->uncore.max(), .min_freq = cfg_->uncore.min()});
+    governors_.emplace_back(*cfg_, ufs, seeder.next());
   }
   last_inputs_ = UfsInputs{.requested_core_freq = cpu_freq(),
                            .effective_core_freq = cpu_freq(),
@@ -52,7 +77,7 @@ SimNode::SimNode(NodeConfig cfg, std::uint64_t seed, NoiseModel noise,
 }
 
 void SimNode::set_cpu_pstate(Pstate p) {
-  EAR_CHECK_MSG(p < cfg_.pstates.size(), "pstate out of range");
+  EAR_CHECK_MSG(p < cfg_->pstates.size(), "pstate out of range");
   pstate_ = p;
 }
 
@@ -96,33 +121,83 @@ Freq SimNode::run_governor(const UfsInputs& in, Secs duration) {
       sum_khz / static_cast<double>(periods)));
 }
 
-IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
-  const Freq f_cpu = cpu_freq();
-  // Effective clock the governor keys on: VPI-weighted blend of the
-  // requested frequency and the AVX512 licence cap.
-  const Freq f_cap = cfg_.pstates.avx512_effective(f_cpu);
-  const Freq f_eff = Freq::khz(static_cast<std::uint64_t>(
-      (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
-      demand.vpi * static_cast<double>(f_cap.as_khz())));
-
+UfsInputs SimNode::busy_inputs(const WorkDemand& demand, Freq f_cpu) const {
   UfsInputs inputs{
       .requested_core_freq = f_cpu,
-      .effective_core_freq = f_eff,
+      // The effective clock the governor keys on.
+      .effective_core_freq = Freq::khz(static_cast<std::uint64_t>(
+          active_core_khz(*cfg_, demand, f_cpu))),
       .bw_utilisation = last_inputs_.bw_utilisation,
       .relaxed_fraction = demand.relaxed_wait_fraction,
       .active_cores = demand.active_cores,
       .epb = msrs_.front().read(kMsrEnergyPerfBias),
   };
   if (inputs.epb == 0) inputs.epb = 6;  // unprogrammed MSR -> default bias
+  return inputs;
+}
+
+IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
+  const Freq f_cpu = cpu_freq();
+  const UfsInputs inputs = busy_inputs(demand, f_cpu);
 
   // First pass: estimate duration at the governor's current setting to
   // know how many control periods the iteration spans.
-  const PerfResult estimate =
-      memo_.evaluate(cfg_, demand, f_cpu, governors_.front().current());
+  const PerfResult estimate = evaluate_iteration(
+      *cfg_, demand, f_cpu, governors_.front().current());
   const Freq f_imc = run_governor(inputs, estimate.iter_time);
 
-  PerfResult perf = memo_.evaluate(cfg_, demand, f_cpu, f_imc);
+  return finish_busy(demand, evaluate_iteration(*cfg_, demand, f_cpu, f_imc),
+                     f_cpu, f_imc, inputs);
+}
 
+StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
+                                        std::size_t max_iters,
+                                        double stop_before_s) {
+  StretchSummary out;
+
+  // Hoisted invariants: the caller guarantees no control-plane mutation
+  // mid-stretch, so everything the governor keys on except the bandwidth
+  // feedback is fixed for the whole stretch.
+  const Freq f_cpu = cpu_freq();
+  UfsInputs inputs = busy_inputs(demand, f_cpu);
+  const UncoreRatioLimit limit = msrs_.front().uncore_limit();
+  const double dither_p = governors_.front().params().dither_probability;
+
+  // The governor is reactive through last iteration's bandwidth
+  // utilisation, which is itself a pure function of the chosen IMC
+  // frequency — so the (f_imc, perf) pair reaches a fixed point after a
+  // couple of warmup iterations and the cached state below stops being
+  // recomputed. The recompute key is the bandwidth input alone.
+  bool cached = false;
+  Freq f_imc{};
+  PerfResult base{};
+
+  while (out.iterations < max_iters && clock_.value < stop_before_s) {
+    if (!cached || last_inputs_.bw_utilisation != inputs.bw_utilisation) {
+      inputs.bw_utilisation = last_inputs_.bw_utilisation;
+      // Every socket's governor integrates the stretch so current()
+      // tracks exactly as the per-period loop would; the last socket
+      // drives the value, like run_governor.
+      UfsStretchSummary s{};
+      for (auto& g : governors_) s = g.integrate_stretch(inputs, limit);
+      // Dither-free this is bitwise run_governor's khz(sum/periods): the
+      // sum is exactly steady*periods, so the quotient is exact and the
+      // truncation lands on the same integer. Dithered, the Bernoulli
+      // per-period average is replaced by its expectation.
+      f_imc = s.expected_freq(dither_p);
+      base = evaluate_iteration(*cfg_, demand, f_cpu, f_imc);
+      cached = true;
+    }
+    (void)finish_busy(demand, base, f_cpu, f_imc, inputs);
+    ++out.iterations;
+    out.uncore_freq = f_imc;
+  }
+  return out;
+}
+
+IterationOutcome SimNode::finish_busy(const WorkDemand& demand,
+                                      PerfResult perf, Freq f_cpu,
+                                      Freq f_imc, UfsInputs inputs) {
   // Run-to-run noise: jitter the wall time (OS, network, DRAM refresh...).
   const double tnoise =
       std::max(0.5, 1.0 + rng_.normal(0.0, noise_.time_sigma));
@@ -131,48 +206,23 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
                   ? perf.bytes / perf.iter_time.value / 1e9
                   : 0.0;
 
-  PowerBreakdown power = evaluate_power(cfg_, demand, perf, f_cpu, f_imc);
+  PowerBreakdown power = evaluate_power(*cfg_, demand, perf, f_cpu, f_imc);
   const double pnoise =
       std::max(0.5, 1.0 + rng_.normal(0.0, noise_.power_sigma));
   power = scale(power, pnoise);
 
   const Secs dt = perf.iter_time;
-  const Joules energy = power.total() * dt;
-
-  // Energy counters.
-  const Joules pkg_each =
-      power.package() * dt;  // split evenly across sockets
-  for (std::size_t s = 0; s < cfg_.sockets; ++s) {
-    rapl_.deposit_pkg(s, Joules{pkg_each.value /
-                                static_cast<double>(cfg_.sockets)});
-  }
-  rapl_.deposit_dram(power.dram * dt);
-  inm_.deposit(energy, dt);
+  const Joules energy = deposit_energy(power, dt);
 
   // PMU counters (node aggregated).
   const double active = static_cast<double>(demand.active_cores);
-  const double idle =
-      static_cast<double>(cfg_.total_cores() - demand.active_cores);
   counters_.instructions += perf.instructions_per_core * active;
   counters_.cycles += perf.cycles_per_core * active;
   counters_.avx512_ops +=
       demand.vpi * demand.instructions_per_core * active;
   counters_.cas_transactions += perf.bytes / 64.0;
-  const double total = static_cast<double>(cfg_.total_cores());
-  // Reported core clock: AVX512 licence throttling shows up in the
-  // APERF-style average (the paper's DGEMM reads 2.19 against a 2.40
-  // request), and idle cores dilute it on mostly-idle nodes.
-  const Freq f_licenced = cfg_.pstates.avx512_effective(f_cpu);
-  const double active_khz =
-      (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
-      demand.vpi * static_cast<double>(f_licenced.as_khz());
-  const double avg_core_khz =
-      total > 0.0
-          ? (active * active_khz * kCoreFreqDroop +
-             idle * static_cast<double>(kIdleReportFreq.as_khz())) /
-                total
-          : 0.0;
-  counters_.cpu_freq_cycles += avg_core_khz * dt.value;
+  counters_.cpu_freq_cycles +=
+      reported_core_khz(*cfg_, demand, f_cpu) * dt.value;
   counters_.imc_freq_cycles +=
       static_cast<double>(f_imc.as_khz()) * dt.value;
   counters_.elapsed_seconds += dt.value;
@@ -188,123 +238,22 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
                           .energy = energy};
 }
 
-StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
-                                        std::size_t max_iters,
-                                        double stop_before_s) {
-  StretchSummary out;
-
-  // Hoisted invariants: the caller guarantees no control-plane mutation
-  // mid-stretch, so everything the governor keys on except the bandwidth
-  // feedback is fixed for the whole stretch.
-  const Freq f_cpu = cpu_freq();
-  const Freq f_cap = cfg_.pstates.avx512_effective(f_cpu);
-  const Freq f_eff = Freq::khz(static_cast<std::uint64_t>(
-      (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
-      demand.vpi * static_cast<double>(f_cap.as_khz())));
-  std::uint64_t epb = msrs_.front().read(kMsrEnergyPerfBias);
-  if (epb == 0) epb = 6;  // unprogrammed MSR -> default bias
-  const UncoreRatioLimit limit = msrs_.front().uncore_limit();
-  const double dither_p = governors_.front().params().dither_probability;
-
-  const double active = static_cast<double>(demand.active_cores);
-  const double idle_cores =
-      static_cast<double>(cfg_.total_cores() - demand.active_cores);
-  const double total = static_cast<double>(cfg_.total_cores());
-  const double active_khz =
-      (1.0 - demand.vpi) * static_cast<double>(f_cpu.as_khz()) +
-      demand.vpi * static_cast<double>(f_cap.as_khz());
-  const double avg_core_khz =
-      total > 0.0
-          ? (active * active_khz * kCoreFreqDroop +
-             idle_cores * static_cast<double>(kIdleReportFreq.as_khz())) /
-                total
-          : 0.0;
-
-  // The governor is reactive through last iteration's bandwidth
-  // utilisation, which is itself a pure function of the chosen IMC
-  // frequency — so the (f_imc, perf) pair reaches a fixed point after a
-  // couple of warmup iterations and the cached state below stops being
-  // recomputed. The recompute key is the bandwidth input alone.
-  bool cached = false;
-  double bw_in = 0.0;
-  Freq f_imc{};
-  PerfResult base{};
-
-  while (out.iterations < max_iters && clock_.value < stop_before_s) {
-    UfsInputs inputs{
-        .requested_core_freq = f_cpu,
-        .effective_core_freq = f_eff,
-        .bw_utilisation = last_inputs_.bw_utilisation,
-        .relaxed_fraction = demand.relaxed_wait_fraction,
-        .active_cores = demand.active_cores,
-        .epb = epb,
-    };
-    if (!cached || inputs.bw_utilisation != bw_in) {
-      bw_in = inputs.bw_utilisation;
-      // Every socket's governor integrates the stretch so current()
-      // tracks exactly as the per-period loop would; the last socket
-      // drives the value, like run_governor.
-      UfsStretchSummary s{};
-      for (auto& g : governors_) s = g.integrate_stretch(inputs, limit);
-      // Dither-free this is bitwise run_governor's khz(sum/periods): the
-      // sum is exactly steady*periods, so the quotient is exact and the
-      // truncation lands on the same integer. Dithered, the Bernoulli
-      // per-period average is replaced by its expectation.
-      f_imc = s.expected_freq(dither_p);
-      base = memo_.evaluate(cfg_, demand, f_cpu, f_imc);
-      cached = true;
-    }
-
-    // Per-iteration tail, replicated from execute_iteration: same noise
-    // draws in the same order, same accumulation arithmetic.
-    PerfResult perf = base;
-    const double tnoise =
-        std::max(0.5, 1.0 + rng_.normal(0.0, noise_.time_sigma));
-    perf.iter_time.value *= tnoise;
-    perf.gbps = perf.iter_time.value > 0.0
-                    ? perf.bytes / perf.iter_time.value / 1e9
-                    : 0.0;
-
-    PowerBreakdown power = evaluate_power(cfg_, demand, perf, f_cpu, f_imc);
-    const double pnoise =
-        std::max(0.5, 1.0 + rng_.normal(0.0, noise_.power_sigma));
-    power = scale(power, pnoise);
-
-    const Secs dt = perf.iter_time;
-    const Joules energy = power.total() * dt;
-    const Joules pkg_each = power.package() * dt;
-    for (std::size_t s = 0; s < cfg_.sockets; ++s) {
-      rapl_.deposit_pkg(s, Joules{pkg_each.value /
-                                  static_cast<double>(cfg_.sockets)});
-    }
-    rapl_.deposit_dram(power.dram * dt);
-    inm_.deposit(energy, dt);
-
-    counters_.instructions += perf.instructions_per_core * active;
-    counters_.cycles += perf.cycles_per_core * active;
-    counters_.avx512_ops +=
-        demand.vpi * demand.instructions_per_core * active;
-    counters_.cas_transactions += perf.bytes / 64.0;
-    counters_.cpu_freq_cycles += avg_core_khz * dt.value;
-    counters_.imc_freq_cycles +=
-        static_cast<double>(f_imc.as_khz()) * dt.value;
-    counters_.elapsed_seconds += dt.value;
-    counters_.wait_seconds += demand.comm_seconds + demand.gpu_seconds;
-
-    clock_ += dt;
-    inputs.bw_utilisation = perf.bw_utilisation;
-    last_inputs_ = inputs;
-    ++out.iterations;
-    out.uncore_freq = f_imc;
+Joules SimNode::deposit_energy(const PowerBreakdown& power, Secs dt) {
+  const Joules energy = power.total() * dt;
+  // Package energy splits evenly across sockets.
+  const Joules pkg_each = power.package() * dt;
+  for (std::size_t s = 0; s < cfg_->sockets; ++s) {
+    rapl_.deposit_pkg(s, Joules{pkg_each.value /
+                                static_cast<double>(cfg_->sockets)});
   }
-  return out;
+  rapl_.deposit_dram(power.dram * dt);
+  inm_.deposit(energy, dt);
+  return energy;
 }
 
 void SimNode::idle(Secs dt) {
   EAR_CHECK(dt.value >= 0.0);
   if (dt.value == 0.0) return;
-  WorkDemand nothing{};
-  nothing.active_cores = 0;
   PerfResult perf{};
   perf.iter_time = dt;
   const Freq f_imc = run_governor(
@@ -315,22 +264,9 @@ void SimNode::idle(Secs dt) {
                 .active_cores = 0,
                 .epb = 6},
       dt);
-  const PowerBreakdown power =
-      evaluate_power(cfg_, nothing, perf, cpu_freq(), f_imc);
-  const Joules energy = power.total() * dt;
-  for (std::size_t s = 0; s < cfg_.sockets; ++s) {
-    rapl_.deposit_pkg(
-        s, Joules{(power.package() * dt).value /
-                  static_cast<double>(cfg_.sockets)});
-  }
-  rapl_.deposit_dram(power.dram * dt);
-  inm_.deposit(energy, dt);
-  counters_.elapsed_seconds += dt.value;
-  counters_.cpu_freq_cycles +=
-      static_cast<double>(kIdleReportFreq.as_khz()) * dt.value;
-  counters_.imc_freq_cycles +=
-      static_cast<double>(f_imc.as_khz()) * dt.value;
-  clock_ += dt;
+  // The default demand is the idle one: no active cores, no GPU work.
+  finish_idle(evaluate_power(*cfg_, WorkDemand{}, perf, cpu_freq(), f_imc),
+              f_imc, dt);
 }
 
 void SimNode::idle_cached(Secs dt) {
@@ -346,26 +282,21 @@ void SimNode::idle_cached(Secs dt) {
   const UncoreRatioLimit limit = msrs_.front().uncore_limit();
   Freq f_imc{};
   for (auto& g : governors_) f_imc = g.settle_idle(limit);
-  if (!idle_memo_valid_ || idle_memo_f_cpu_.as_khz() != f_cpu.as_khz() ||
-      idle_memo_f_imc_.as_khz() != f_imc.as_khz()) {
-    WorkDemand nothing{};
-    nothing.active_cores = 0;
+  if (!idle_cache_valid_ || idle_cache_f_cpu_.as_khz() != f_cpu.as_khz() ||
+      idle_cache_f_imc_.as_khz() != f_imc.as_khz()) {
     PerfResult perf{};
     perf.iter_time = dt;  // unused by the idle breakdown (no GPU work)
-    idle_memo_power_ = evaluate_power(cfg_, nothing, perf, f_cpu, f_imc);
-    idle_memo_f_cpu_ = f_cpu;
-    idle_memo_f_imc_ = f_imc;
-    idle_memo_valid_ = true;
+    idle_cache_power_ =
+        evaluate_power(*cfg_, WorkDemand{}, perf, f_cpu, f_imc);
+    idle_cache_f_cpu_ = f_cpu;
+    idle_cache_f_imc_ = f_imc;
+    idle_cache_valid_ = true;
   }
-  const PowerBreakdown& power = idle_memo_power_;
-  const Joules energy = power.total() * dt;
-  for (std::size_t s = 0; s < cfg_.sockets; ++s) {
-    rapl_.deposit_pkg(
-        s, Joules{(power.package() * dt).value /
-                  static_cast<double>(cfg_.sockets)});
-  }
-  rapl_.deposit_dram(power.dram * dt);
-  inm_.deposit(energy, dt);
+  finish_idle(idle_cache_power_, f_imc, dt);
+}
+
+void SimNode::finish_idle(const PowerBreakdown& power, Freq f_imc, Secs dt) {
+  (void)deposit_energy(power, dt);
   counters_.elapsed_seconds += dt.value;
   counters_.cpu_freq_cycles +=
       static_cast<double>(kIdleReportFreq.as_khz()) * dt.value;

@@ -1,13 +1,17 @@
 // SimNode: one simulated compute node.
 //
 // Owns the per-socket MSR files, the hardware UFS governors, the PMU
-// counters and the RAPL/INM energy counters. The simulation engine drives
+// counters and the RAPL/INM energy counters — the node's mutable state.
+// The static NodeConfig is shared, immutable, by every node built from
+// it (Cluster builds one per cluster). The simulation engine drives
 // it one application iteration at a time; EARL/EARD talk to it only
 // through the same narrow interfaces they would use on real hardware
 // (P-state request, MSR writes, counter reads).
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,7 +21,6 @@
 #include "simhw/demand.hpp"
 #include "simhw/hw_ufs.hpp"
 #include "simhw/inm.hpp"
-#include "simhw/kernel_memo.hpp"
 #include "simhw/msr.hpp"
 #include "simhw/perf_model.hpp"
 #include "simhw/power_model.hpp"
@@ -49,15 +52,24 @@ struct StretchSummary {
 
 class SimNode {
  public:
-  SimNode(NodeConfig cfg, std::uint64_t seed,
+  SimNode(std::shared_ptr<const NodeConfig> cfg, std::uint64_t seed,
           NoiseModel noise = {}, HwUfsParams ufs = {});
+  /// A node with a config of its own.
+  SimNode(NodeConfig cfg, std::uint64_t seed, NoiseModel noise = {},
+          HwUfsParams ufs = {})
+      : SimNode(std::make_shared<const NodeConfig>(std::move(cfg)), seed,
+                noise, ufs) {}
 
   // --- Control interfaces (what EARD exposes) ---------------------------
   /// Request a P-state for all cores (EAR pins the whole node).
   void set_cpu_pstate(Pstate p);
-  void set_cpu_freq(common::Freq f) { set_cpu_pstate(cfg_.pstates.pstate_for(f)); }
+  void set_cpu_freq(common::Freq f) {
+    set_cpu_pstate(cfg_->pstates.pstate_for(f));
+  }
   [[nodiscard]] Pstate cpu_pstate() const { return pstate_; }
-  [[nodiscard]] common::Freq cpu_freq() const { return cfg_.pstates.freq(pstate_); }
+  [[nodiscard]] common::Freq cpu_freq() const {
+    return cfg_->pstates.freq(pstate_);
+  }
 
   /// Per-socket MSR access (privileged; EARD is the only caller in the
   /// real system). Writing UNCORE_RATIO_LIMIT constrains the governor.
@@ -87,7 +99,7 @@ class SimNode {
   /// The per-iteration governor period loop is replaced by its closed
   /// form (HwUfsGovernor::integrate_stretch), and everything that is
   /// constant across the stretch — effective clock, governor target,
-  /// memoised perf model, PMU increments — is hoisted out of the loop.
+  /// perf model result, PMU increments — is hoisted out of the loop.
   /// The per-iteration noise draws still happen, in the same order and
   /// from the same stream as execute_iteration, so:
   ///   * with the dither gate closed (dither_probability == 0, or no
@@ -103,7 +115,7 @@ class SimNode {
   /// Advance idle time (no application work; cores idle).
   void idle(common::Secs dt);
 
-  /// idle(), with the power-model evaluation memoised on the
+  /// idle(), with the power-model evaluation cached on the
   /// (core frequency, governor output) pair. Idle power is
   /// duration-independent — no active cores, no GPU work, zero
   /// bandwidth — so the breakdown only changes when the P-state or the
@@ -115,7 +127,7 @@ class SimNode {
   /// the naive recompute as the executable spec.
   void idle_cached(common::Secs dt);
 
-  [[nodiscard]] const NodeConfig& config() const { return cfg_; }
+  [[nodiscard]] const NodeConfig& config() const { return *cfg_; }
   /// Current (last-period) uncore frequency of socket 0.
   [[nodiscard]] common::Freq uncore_freq() const;
 
@@ -124,12 +136,25 @@ class SimNode {
   /// the time-averaged uncore frequency it produced.
   common::Freq run_governor(const UfsInputs& in, common::Secs duration);
 
-  NodeConfig cfg_;
+  /// Governor inputs of a busy iteration at core frequency `f_cpu`.
+  [[nodiscard]] UfsInputs busy_inputs(const WorkDemand& demand,
+                                      Freq f_cpu) const;
+
+  /// The tail every busy iteration shares: run-to-run noise on the
+  /// noise-free kernel result `perf`, the power model, the energy and PMU
+  /// deposits, and the clock.
+  IterationOutcome finish_busy(const WorkDemand& demand, PerfResult perf,
+                               Freq f_cpu, Freq f_imc, UfsInputs inputs);
+
+  /// The tail idle() and idle_cached() share: deposit `power` over `dt`.
+  void finish_idle(const PowerBreakdown& power, Freq f_imc, common::Secs dt);
+
+  /// RAPL and INM deposits of `power` held for `dt`; returns the energy.
+  common::Joules deposit_energy(const PowerBreakdown& power, common::Secs dt);
+
+  std::shared_ptr<const NodeConfig> cfg_;
   NoiseModel noise_;
   common::Rng rng_;
-  // Memoised performance model over the P-state × IMC grid; noise is
-  // applied after lookup, so results stay bitwise identical.
-  IterationMemo memo_;
   Pstate pstate_;
   std::vector<MsrFile> msrs_;
   std::vector<HwUfsGovernor> governors_;
@@ -139,12 +164,12 @@ class SimNode {
   common::Secs clock_{};
   // Governor inputs observed on the previous iteration (it is reactive).
   UfsInputs last_inputs_;
-  // Memo for idle_cached(): the idle PowerBreakdown keyed on the
+  // Cache for idle_cached(): the idle PowerBreakdown keyed on the
   // (core, uncore) frequency pair that produced it.
-  bool idle_memo_valid_ = false;
-  common::Freq idle_memo_f_cpu_{};
-  common::Freq idle_memo_f_imc_{};
-  PowerBreakdown idle_memo_power_{};
+  bool idle_cache_valid_ = false;
+  common::Freq idle_cache_f_cpu_{};
+  common::Freq idle_cache_f_imc_{};
+  PowerBreakdown idle_cache_power_{};
 };
 
 }  // namespace ear::simhw

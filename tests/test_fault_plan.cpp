@@ -44,7 +44,7 @@ TEST(FaultPlan, ParsesKeysCommentsAndWhitespace) {
       "  start = 20\n"
       "  end = 60.5\n"
       "  probability = 0.25\n"
-      "  register = 1552\n"  // 0x610 in decimal
+      "  register = 432\n"  // 0x1B0 in decimal
       "\n"
       "[inm_noise]\n"
       "  magnitude = 120\n");
@@ -55,7 +55,7 @@ TEST(FaultPlan, ParsesKeysCommentsAndWhitespace) {
   EXPECT_DOUBLE_EQ(f.start_s, 20.0);
   EXPECT_DOUBLE_EQ(f.end_s, 60.5);
   EXPECT_DOUBLE_EQ(f.probability, 0.25);
-  EXPECT_EQ(f.reg, 0x610u);
+  EXPECT_EQ(f.reg, 0x1B0u);
   EXPECT_DOUBLE_EQ(plan.specs[1].magnitude, 120.0);
 }
 
@@ -131,6 +131,15 @@ TEST(FaultPlan, RejectsInvalidValues) {
   // inm_noise without a magnitude is meaningless.
   EXPECT_THROW(parse("[inm_noise]\n"), ConfigError);
   EXPECT_THROW(parse("[inm_noise]\n[msr_drop]\n"), ConfigError);
+}
+
+TEST(FaultPlan, RejectsUnmodelledRegisters) {
+  // Only UNCORE_RATIO_LIMIT and ENERGY_PERF_BIAS exist in simhw::MsrFile;
+  // a fault on any other address could never fire.
+  EXPECT_THROW(parse("[msr_drop]\nregister = 1552\n"), ConfigError);  // 0x610
+  EXPECT_THROW(parse("[msr_lock]\nregister = 0\n"), ConfigError);
+  EXPECT_EQ(parse("[msr_lock]\nregister = 1568\n").specs[0].reg, 0x620u);
+  EXPECT_EQ(parse("[msr_drop]\nregister = 432\n").specs[0].reg, 0x1B0u);
 }
 
 TEST(FaultPlan, LoadFromMissingFileThrows) {

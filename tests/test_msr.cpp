@@ -80,6 +80,15 @@ TEST(MsrFile, UnknownRegisterReadsZero) {
   EXPECT_EQ(msr.read(0x123), 0u);
 }
 
+TEST(MsrFile, UnmodelledRegisterWriteAndLockRejected) {
+  MsrFile msr;
+  EXPECT_THROW(msr.write(0x610, 1), common::InvariantError);
+  EXPECT_THROW(msr.lock(0x610), common::InvariantError);
+  EXPECT_FALSE(msr.is_locked(0x610));
+  EXPECT_EQ(msr.read(0x610), 0u);
+  EXPECT_EQ(msr.write_count(), 0u);
+}
+
 TEST(MsrFile, WriteThenRead) {
   MsrFile msr;
   msr.write(0x1B0, 6);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/error.hpp"
 #include "simhw/cluster.hpp"
 
@@ -176,6 +178,51 @@ TEST(SimNode, IdleCachedIsBitwiseIdenticalToIdle) {
   EXPECT_EQ(ref.rapl().pkg(1).raw(), fast.rapl().pkg(1).raw());
   EXPECT_EQ(ref.rapl().dram().raw(), fast.rapl().dram().raw());
   EXPECT_EQ(ref.uncore_freq().as_khz(), fast.uncore_freq().as_khz());
+}
+
+// Nodes live in growing vectors (clusters, benches), so a moved node must
+// behave exactly like one that never moved: nothing it holds may point
+// into its own old storage.
+TEST(SimNode, MovedNodesMatchNodesBuiltInPlace) {
+  const NodeConfig cfg = make_skylake_6148_node();
+  constexpr std::uint64_t kNodes = 9;
+  std::vector<SimNode> moved;  // no reserve: growth moves the nodes
+  for (std::uint64_t i = 0; i < kNodes; ++i) {
+    moved.emplace_back(cfg, 100 + i);
+  }
+  for (std::uint64_t i = 0; i < kNodes; ++i) {
+    SimNode in_place(cfg, 100 + i);
+    SimNode& m = moved[i];
+    const IterationOutcome a = m.execute_iteration(demand());
+    const IterationOutcome b = in_place.execute_iteration(demand());
+    EXPECT_EQ(a.perf.iter_time.value, b.perf.iter_time.value);
+    EXPECT_EQ(a.power.total().value, b.power.total().value);
+    EXPECT_EQ(a.uncore_freq.as_khz(), b.uncore_freq.as_khz());
+    const StretchSummary sa = m.execute_stretch(demand(), 6, 1e9);
+    const StretchSummary sb = in_place.execute_stretch(demand(), 6, 1e9);
+    EXPECT_EQ(sa.iterations, sb.iterations);
+    EXPECT_EQ(sa.uncore_freq.as_khz(), sb.uncore_freq.as_khz());
+    m.idle_cached(Secs{2.5});
+    in_place.idle_cached(Secs{2.5});
+    EXPECT_EQ(m.clock().value, in_place.clock().value);
+    EXPECT_EQ(m.inm().exact().value, in_place.inm().exact().value);
+    EXPECT_EQ(m.counters().instructions, in_place.counters().instructions);
+    EXPECT_EQ(m.counters().cpu_freq_cycles,
+              in_place.counters().cpu_freq_cycles);
+    EXPECT_EQ(m.counters().imc_freq_cycles,
+              in_place.counters().imc_freq_cycles);
+    EXPECT_EQ(m.rapl().pkg(0).raw(), in_place.rapl().pkg(0).raw());
+    EXPECT_EQ(m.rapl().pkg(1).raw(), in_place.rapl().pkg(1).raw());
+    EXPECT_EQ(m.rapl().dram().raw(), in_place.rapl().dram().raw());
+    EXPECT_EQ(m.uncore_freq().as_khz(), in_place.uncore_freq().as_khz());
+  }
+}
+
+TEST(Cluster, NodesShareOneConfig) {
+  Cluster cluster(make_skylake_6148_node(), 4, 42);
+  for (const SimNode& node : cluster) {
+    EXPECT_EQ(&node.config(), &cluster.node(0).config());
+  }
 }
 
 TEST(Cluster, IndependentlySeededNodes) {
