@@ -105,7 +105,6 @@ void FederatedEargm::update(std::span<const double> node_power_w) {
     redistribute();
   }
   ++rounds_;
-  if (round_hook_) round_hook_(rounds_, common::Power{facility_w_});
 }
 
 void FederatedEargm::redistribute() {

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -85,16 +84,6 @@ class FederatedEargm {
   /// Control rounds completed (update() calls).
   [[nodiscard]] std::size_t rounds() const { return rounds_; }
 
-  /// Round-boundary hook: invoked at the end of every update() with the
-  /// number of completed rounds and the substituted facility aggregate.
-  /// The event-driven facility core registers one to schedule the next
-  /// EARGM-round barrier event — the federation drives its own cadence
-  /// instead of being polled every tick. At most one hook; pass an empty
-  /// function to clear it.
-  using RoundHook = std::function<void(std::size_t rounds_completed,
-                                       common::Power facility_power)>;
-  void set_round_hook(RoundHook hook) { round_hook_ = std::move(hook); }
-
  private:
   void redistribute();
 
@@ -111,7 +100,6 @@ class FederatedEargm {
   std::size_t redists_ = 0;
   std::size_t facility_blind_rounds_ = 0;
   std::size_t rounds_ = 0;
-  RoundHook round_hook_;
 };
 
 }  // namespace ear::eargm

@@ -18,7 +18,6 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "eard/eard.hpp"
-#include "faults/schedule.hpp"
 #include "sim/shard.hpp"
 #include "simhw/cluster.hpp"
 
@@ -26,37 +25,24 @@ namespace ear::sim {
 
 namespace {
 
-/// Longest stretch of control rounds one barrier may cover. Bounds the
-/// per-shard snapshot buffers (window * nodes doubles) and how far a
-/// shard can run ahead of a completion that would end the simulation.
-constexpr std::size_t kMaxWindow = 64;
-
 /// Per-running-job bookkeeping (admission order).
 struct RunningJob {
   std::size_t job = 0;
   std::size_t island = 0;
-  std::size_t shard_job = 0;  // index into the owning shard's job list
   std::vector<std::size_t> local_nodes;
   double start_inm_j = 0.0;
-  bool live = false;
 };
-
-/// First round whose start time r * round_s is at or after `s`.
-std::size_t round_at_or_after(double s, double round_s) {
-  if (s <= 0.0) return 0;
-  return static_cast<std::size_t>(std::ceil(s / round_s));
-}
 
 /// Persistent shard workers behind an epoch spin-barrier.
 ///
-/// A condition-variable pool costs ~10 us per wake; with a live
-/// federation every window is a single control round, so the facility
-/// dispatches hundreds of times per run and the wake cost would rival
-/// the shard work itself. Workers spin briefly (yielding periodically to
-/// stay polite on shared hosts) on an epoch counter instead, bringing a
-/// dispatch down to about a microsecond. The calling thread runs the
-/// last partition itself, so `helpers + 1` partitions execute per epoch
-/// and a crew of one helper still halves the wall time.
+/// A condition-variable pool costs ~10 us per wake; every control round
+/// is one barrier, so the facility dispatches hundreds of times per run
+/// and the wake cost would rival the shard work itself. Workers spin
+/// briefly (yielding periodically to stay polite on shared hosts) on an
+/// epoch counter instead, bringing a dispatch down to about a
+/// microsecond. The calling thread runs the last partition itself, so
+/// `helpers + 1` partitions execute per epoch and a crew of one helper
+/// still halves the wall time.
 class ShardCrew {
  public:
   /// `partitions` = helpers + 1; `body(i)` must be safe to run
@@ -167,7 +153,7 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
     sh.size = cfg.islands[i].nodes;
     total_nodes += sh.size;
     sh.slots.resize(sh.size);
-    sh.done_round.assign(sh.size, kNoRound);
+    sh.readings_w.resize(sh.size);
   }
   // Island hardware builds concurrently: every stream in a cluster is
   // rooted at the island seed, so the result is bitwise-independent of
@@ -221,58 +207,22 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
     out.jobs[j].submit_s = queue.jobs()[j].submit_s;
   }
 
-  // Global control-plane events: anything that can change facility state
-  // at a round boundary ends the current window there.
-  EventQueue global_events;
-  {
-    std::vector<std::size_t> arrival_rounds;
-    for (const FacilityJob& job : queue.jobs()) {
-      arrival_rounds.push_back(
-          round_at_or_after(job.submit_s, cfg.round_s));
-    }
-    std::sort(arrival_rounds.begin(), arrival_rounds.end());
-    arrival_rounds.erase(
-        std::unique(arrival_rounds.begin(), arrival_rounds.end()),
-        arrival_rounds.end());
-    for (std::size_t r : arrival_rounds) {
-      global_events.push({r, EventKind::kJobArrival, 0});
-    }
-  }
-  faults::FaultSchedule fault_sched(cfg.fault_plan, cfg.round_s,
-                                    cfg.max_sim_s);
-  for (std::size_t b : fault_sched.boundaries()) {
-    global_events.push({b, EventKind::kFaultBoundary, 0});
-  }
-  if (federation) {
-    // The federation schedules its own cadence: every completed round
-    // posts the next cap-re-split barrier. (With a live federation every
-    // window is one round anyway — caps mutate node daemons, which is
-    // control-plane state the shards would otherwise run ahead of.)
-    federation->set_round_hook(
-        [&global_events](std::size_t rounds_completed, common::Power) {
-          global_events.push(
-              {rounds_completed, EventKind::kEargmRound, 0});
-        });
-  }
-
   // Serial cross-shard state: the readings buffer and the fault stream
   // are reduced/drawn in shard-index order at barrier merges only.
   EAR_REDUCED_SERIAL std::vector<double> readings(total_nodes, 0.0);
   common::Rng fault_rng(common::mix_seed(cfg.seed, 0xFAC111));
 
   // Persistent spin-barrier crew for the parallel phase (see ShardCrew).
-  // crew_round/crew_window are published to the workers by the epoch
-  // increment inside run() (release/acquire pairing).
+  // crew_round is published to the workers by the epoch increment inside
+  // run() (release/acquire pairing).
   const std::size_t crew_size =
       std::min(common::resolve_jobs(cfg.sim_jobs), shards.size());
   std::size_t crew_round = 0;
-  std::size_t crew_window = 1;
   std::unique_ptr<ShardCrew> crew;
   if (crew_size > 1) {
     crew = std::make_unique<ShardCrew>(
-        crew_size,
-        [&shards, &cfg, &crew_round, &crew_window](std::size_t i) {
-          shards[i].advance_window(cfg.round_s, crew_round, crew_window);
+        crew_size, [&shards, &cfg, &crew_round](std::size_t i) {
+          shards[i].advance_round(cfg.round_s, crew_round);
         });
   }
 
@@ -294,22 +244,13 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
   std::vector<RunningJob> running;  // admission order
   std::vector<std::size_t> job_running(queue.jobs().size(), kNoJob);
   std::size_t live_jobs = 0;
-  bool finished = false;
 
-  std::size_t round = 0;
-  while (true) {
+  for (std::size_t round = 0;; ++round) {
     const double now = static_cast<double>(round) * cfg.round_s;
     const double round_end = now + cfg.round_s;
     if (round_end > cfg.max_sim_s) {
       wedged = live_jobs > 0 || !queue.all_started();
       break;
-    }
-
-    // Retire control events due at this barrier; what remains bounds the
-    // next window.
-    while (!global_events.empty() &&
-           global_events.next_round() <= round) {
-      (void)global_events.pop();
     }
 
     // Admission: arrivals up to `now`, lowest free nodes, backfill —
@@ -327,22 +268,17 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
       Shard& sh = shards[start.island];
       RunningJob rj{.job = start.job,
                     .island = start.island,
-                    .shard_job = sh.jobs.size(),
                     .local_nodes = std::move(start.local_nodes),
-                    .start_inm_j = 0.0,
-                    .live = true};
+                    .start_inm_j = 0.0};
       for (std::size_t local : rj.local_nodes) {
         NodeSlot& slot = sh.slots[local];
         slot.job = start.job;
         slot.demand = demand;
         slot.iters_left = spec.iterations;
-        sh.done_round[local] = spec.iterations == 0 ? round : kNoRound;
         rj.start_inm_j += sh.cluster->node(local).inm().exact().value;
       }
-      sh.jobs.push_back(ShardJob{.job = start.job,
-                                 .local_nodes = rj.local_nodes,
-                                 .live = true,
-                                 .completion_posted = false});
+      sh.jobs.push_back(
+          ShardJob{.job = start.job, .local_nodes = rj.local_nodes});
       FacilityJobOutcome& o = out.jobs[start.job];
       o.island = start.island;
       o.nodes = rj.local_nodes.size();
@@ -352,165 +288,109 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
       ++live_jobs;
     }
 
-    // Window: how many rounds can every shard integrate autonomously?
-    // One, unless no control-plane event can land inside the stretch: a
-    // live federation re-splits caps every round, a pending job may
-    // admit as soon as a completion frees nodes, and arrival / fault
-    // boundaries pin their exact rounds. Completions inside a window are
-    // safe — the merge replays them round-by-round from snapshots.
-    std::size_t window = 1;
-    if (!federation && queue.pending() == 0) {
-      while (window < kMaxWindow &&
-             static_cast<double>(round + window) * cfg.round_s +
-                     cfg.round_s <=
-                 cfg.max_sim_s) {
-        ++window;
-      }
-      const std::size_t next_event = global_events.next_round();
-      if (next_event != EventQueue::npos) {
-        window = std::min(window, next_event - round);
-      }
-    }
-
     // Parallel phase: each worker owns whole shards; every RNG draw in
     // here comes from a shard-local stream.
     if (crew) {
       crew_round = round;
-      crew_window = window;
       crew->run(shards.size());
     } else {
-      for (Shard& sh : shards) {
-        sh.advance_window(cfg.round_s, round, window);
+      for (Shard& sh : shards) sh.advance_round(cfg.round_s, round);
+    }
+
+    // Serial merge in shard-index order — the same readings arithmetic,
+    // fault-stream draw order and completion order as the reference
+    // loop's per-round tail. The shards already took this round's
+    // readings; the barrier only loads and sums them, in the reference
+    // sweep's node order.
+    double total_w = 0.0;
+    for (const Shard& sh : shards) {
+      double* dst = readings.data() + sh.offset;
+      for (std::size_t n = 0; n < sh.size; ++n) {
+        dst[n] = sh.readings_w[n];
+        total_w += dst[n];
+      }
+    }
+    if (!std::isfinite(total_w)) nonfinite = true;
+    out.peak_power_w = std::max(out.peak_power_w, total_w);
+
+    if (cfg.budget.value > 0.0) {
+      const double overrun = total_w - cfg.budget.value;
+      if (overrun > 0.0) {
+        ++out.cap_overrun_rounds;
+        out.worst_overrun_w = std::max(out.worst_overrun_w, overrun);
+      }
+      bool degraded = true;
+      if (federation) {
+        for (std::size_t i = 0; i < federation->islands(); ++i) {
+          if (federation->island(i).current_limit() <
+              cfg.island_eargm.deepest_limit) {
+            degraded = false;
+            break;
+          }
+        }
+      }
+      if (now >= last_fault_end_s && overrun > slack_w && !degraded) {
+        if (++consecutive_over > cfg.overrun_grace) ++persistent_overruns;
+      } else {
+        consecutive_over = 0;
       }
     }
 
-    // Serial merge: replay the window round-by-round in shard-index
-    // order — the same readings arithmetic, fault-stream draw order and
-    // completion order as the reference loop's per-round tail.
-    for (std::size_t w = 0; w < window; ++w) {
-      const std::size_t r = round + w;
-      const double rnow = static_cast<double>(r) * cfg.round_s;
-      const double rend = rnow + cfg.round_s;
-
-      // The shards already computed this round's readings with the
-      // reference arithmetic; the barrier only loads and sums them, in
-      // the same shard-index/node order the reference sweep uses.
-      double total_w = 0.0;
-      for (Shard& sh : shards) {
-        const double* win = sh.win_reading_w.data() + w * sh.size;
-        double* dst = readings.data() + sh.offset;
-        for (std::size_t n = 0; n < sh.size; ++n) {
-          dst[n] = win[n];
-          total_w += dst[n];
+    // Fault tier: one draw per target per active round, in (spec,
+    // island/node) order.
+    for (const auto& f : cfg.fault_plan.specs) {
+      if (!f.active_at(now)) continue;
+      if (f.family == faults::FaultFamily::kNodeDropout) {
+        for (std::size_t g = 0; g < total_nodes; ++g) {
+          if (!f.applies_to_node(g)) continue;
+          if (fault_rng.uniform() < f.probability) {
+            if (std::isfinite(readings[g])) ++out.faults.dropped_readings;
+            readings[g] = std::numeric_limits<double>::quiet_NaN();
+          }
         }
-      }
-      if (!std::isfinite(total_w)) nonfinite = true;
-      out.peak_power_w = std::max(out.peak_power_w, total_w);
-
-      if (cfg.budget.value > 0.0) {
-        const double overrun = total_w - cfg.budget.value;
-        if (overrun > 0.0) {
-          ++out.cap_overrun_rounds;
-          out.worst_overrun_w = std::max(out.worst_overrun_w, overrun);
-        }
-        bool degraded = true;
-        if (federation) {
-          for (std::size_t i = 0; i < federation->islands(); ++i) {
-            if (federation->island(i).current_limit() <
-                cfg.island_eargm.deepest_limit) {
-              degraded = false;
-              break;
+      } else if (f.family == faults::FaultFamily::kIslandDropout) {
+        for (std::size_t i = 0; i < shards.size(); ++i) {
+          if (!f.applies_to_island(i)) continue;
+          if (fault_rng.uniform() < f.probability) {
+            ++out.faults.island_dropouts;
+            for (std::size_t n = 0; n < shards[i].size; ++n) {
+              readings[shards[i].offset + n] =
+                  std::numeric_limits<double>::quiet_NaN();
             }
           }
         }
-        if (rnow >= last_fault_end_s && overrun > slack_w && !degraded) {
-          if (++consecutive_over > cfg.overrun_grace) {
-            ++persistent_overruns;
-          }
-        } else {
-          consecutive_over = 0;
-        }
-      }
-
-      // Fault tier: rounds outside every activity window are draw-free
-      // (here and in the oracle), so the schedule gate skips dead scans.
-      if (fault_sched.any_active(r)) {
-        for (const auto& f : cfg.fault_plan.specs) {
-          if (!f.active_at(rnow)) continue;
-          if (f.family == faults::FaultFamily::kNodeDropout) {
-            for (std::size_t g = 0; g < total_nodes; ++g) {
-              if (!f.applies_to_node(g)) continue;
-              if (fault_rng.uniform() < f.probability) {
-                if (std::isfinite(readings[g])) {
-                  ++out.faults.dropped_readings;
-                }
-                readings[g] = std::numeric_limits<double>::quiet_NaN();
-              }
-            }
-          } else if (f.family == faults::FaultFamily::kIslandDropout) {
-            for (std::size_t i = 0; i < shards.size(); ++i) {
-              if (!f.applies_to_island(i)) continue;
-              if (fault_rng.uniform() < f.probability) {
-                ++out.faults.island_dropouts;
-                for (std::size_t n = 0; n < shards[i].size; ++n) {
-                  readings[shards[i].offset + n] =
-                      std::numeric_limits<double>::quiet_NaN();
-                }
-              }
-            }
-          }
-        }
-      }
-
-      if (federation) federation->update(readings);
-
-      // Completions: the shards posted exact phase-change events for
-      // every job that drained in this window; pop the ones due at this
-      // round (shard-index order) and settle them in admission order.
-      std::vector<std::size_t> due;
-      for (Shard& sh : shards) {
-        while (!sh.events.empty() && sh.events.next_round() <= r) {
-          due.push_back(job_running[sh.events.pop().payload]);
-        }
-      }
-      std::sort(due.begin(), due.end());
-      for (std::size_t ri : due) {
-        RunningJob& rj = running[ri];
-        EAR_CHECK(rj.live);
-        Shard& sh = shards[rj.island];
-        double end_inm = 0.0;
-        for (std::size_t local : rj.local_nodes) {
-          end_inm += sh.win_inm_j[w * sh.size + local];
-          sh.slots[local].job = kNoJob;
-        }
-        FacilityJobOutcome& o = out.jobs[rj.job];
-        o.end_s = rend;
-        o.energy_j = end_inm - rj.start_inm_j;
-        if (!std::isfinite(o.energy_j)) nonfinite = true;
-        out.makespan_s = std::max(out.makespan_s, o.end_s);
-        queue.release(rj.island, rj.local_nodes);
-        sh.jobs[rj.shard_job].live = false;
-        rj.live = false;
-        --live_jobs;
-      }
-      out.rounds = r + 1;
-
-      if (live_jobs == 0 && queue.all_started()) {
-        // Termination may land mid-window: the shards over-integrated
-        // the tail rounds, so rewind their per-node bookkeeping to this
-        // round's snapshots — the epilogue then reads node state exactly
-        // as a reference run that stopped here would. Single-round
-        // windows take no snapshots and need no rewind: the slots'
-        // prev-* values already are this round's state.
-        if (window > 1) {
-          for (Shard& sh : shards) sh.rewind_to(w);
-        }
-        finished = true;
-        break;
       }
     }
-    if (finished) break;
-    round += window;
+
+    if (federation) federation->update(readings);
+
+    // Completions: settle the jobs the shards listed as drained in
+    // admission order; a finished job frees its allocation for next
+    // round's admission.
+    std::vector<std::size_t> due;
+    for (const Shard& sh : shards) {
+      for (std::size_t j : sh.drained) due.push_back(job_running[j]);
+    }
+    std::sort(due.begin(), due.end());
+    for (std::size_t ri : due) {
+      const RunningJob& rj = running[ri];
+      Shard& sh = shards[rj.island];
+      double end_inm = 0.0;
+      for (std::size_t local : rj.local_nodes) {
+        end_inm += sh.slots[local].prev_inm_j;
+        sh.slots[local].job = kNoJob;
+      }
+      FacilityJobOutcome& o = out.jobs[rj.job];
+      o.end_s = round_end;
+      o.energy_j = end_inm - rj.start_inm_j;
+      if (!std::isfinite(o.energy_j)) nonfinite = true;
+      out.makespan_s = std::max(out.makespan_s, o.end_s);
+      queue.release(rj.island, rj.local_nodes);
+      --live_jobs;
+    }
+    out.rounds = round + 1;
+
+    if (live_jobs == 0 && queue.all_started()) break;
   }
   out.walls.build_s =
       std::chrono::duration<double>(wall_t1 - wall_t0).count();

@@ -10,13 +10,11 @@
 //     kernel evaluation per operating point + closed-form UFS governor
 //     integration);
 //   * advances shard-local state (one shard per island, per-shard RNG
-//     streams rooted at mix_seed(seed, island)) in parallel through
-//     multi-round *windows* whenever no control-plane event (job
-//     arrival, fault boundary, EARGM cap round, pending admission) can
-//     fall inside the window;
-//   * merges cross-shard effects serially in shard-index order at
-//     barrier rounds, replaying readings, fault draws and job
-//     completions round-by-round from per-round snapshots — the exact
+//     streams rooted at mix_seed(seed, island)) in parallel, exactly one
+//     control round per barrier — the paper's EARGM re-splits the cap
+//     every round, so a round is the natural unit of the control loop;
+//   * merges cross-shard effects serially in shard-index order at every
+//     barrier — readings, fault draws and job completions in the exact
 //     order and arithmetic of the oracle's round loop.
 //
 // Equivalence: bitwise-identical to the oracle whenever the UFS dither

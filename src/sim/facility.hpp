@@ -13,7 +13,8 @@
 // (worker-thread) count: nodes are advanced independently and every
 // reduction walks island/node index order.
 //
-// The engine is sim::run_facility_event (sim/event_core.hpp); the
+// The engine is sim::run_facility_event (sim/event_core.hpp): per-island
+// shards advance one control round per barrier and merge serially. The
 // original round loop is a test oracle in tests/oracles/.
 //
 // Chaos invariants (checked into FacilityResult::violations):

@@ -4,111 +4,53 @@
 
 namespace ear::sim {
 
-namespace {
-
-/// Min-heap "later than" order on (round, kind, payload). Total and
-/// deterministic: two events comparing equal are byte-identical, so the
-/// pop order of duplicates can never leak into results.
-bool later(const Event& a, const Event& b) {
-  if (a.round != b.round) return a.round > b.round;
-  if (a.kind != b.kind) return a.kind > b.kind;
-  return a.payload > b.payload;
-}
-
-}  // namespace
-
-void EventQueue::push(Event e) {
-  heap_.push_back(e);
-  std::push_heap(heap_.begin(), heap_.end(), later);
-}
-
-Event EventQueue::pop() {
-  EAR_CHECK(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), later);
-  const Event e = heap_.back();
-  heap_.pop_back();
-  return e;
-}
-
-void Shard::advance_window(double round_s, std::size_t first_round,
-                           std::size_t rounds) {
-  // The INM snapshot feeds job-energy accounting at every window size;
-  // the clock snapshot only feeds rewind_to, which mid-window
-  // termination never needs for a single-round window (the slots'
-  // prev-* bookkeeping already is that round's snapshot).
-  const bool snapshot = rounds > 1;
-  win_inm_j.resize(rounds * size);
-  if (snapshot) win_clock_s.resize(rounds * size);
-  win_reading_w.resize(rounds * size);
-  for (std::size_t w = 0; w < rounds; ++w) {
-    const double round_end =
-        static_cast<double>(first_round + w) * round_s + round_s;
-    // Iterate the cluster directly: node(n) is an out-of-line
-    // bounds-checked call, and this loop is the simulator's innermost.
-    std::size_t n = 0;
-    for (simhw::SimNode& node : *cluster) {
-      NodeSlot& slot = slots[n];
-      // Guard on the clock too: a multi-second iteration overshoots the
-      // round boundary and then sits out the following rounds, and
-      // execute_stretch's hoisted setup is pure waste on those (~45% of
-      // all node-rounds in the capped busy-regime bench).
-      if (slot.job != kNoJob && slot.iters_left > 0 &&
-          node.clock().value < round_end) {
-        // One phase-stable stretch: closed-form governor integration in
-        // place of the reference loop's iteration-at-a-time stepping.
-        const simhw::StretchSummary s =
-            node.execute_stretch(slot.demand, slot.iters_left, round_end);
-        slot.iters_left -= s.iterations;
-        if (slot.iters_left == 0) done_round[n] = first_round + w;
-      }
-      const double gap = round_end - node.clock().value;
-      // idle_cached: bitwise-identical to idle() (same deposits, same
-      // governor run) with the constant idle power memoised — the bulk
-      // of a mostly-idle facility's node-rounds.
-      if (gap > 0.0) node.idle_cached(common::Secs{gap});
-      const double e = node.inm().exact().value;
-      const double t = node.clock().value;
-      win_inm_j[w * size + n] = e;
-      if (snapshot) win_clock_s[w * size + n] = t;
-      // The reference loop's reading arithmetic, verbatim: power is the
-      // INM delta over the clock delta since the previous round, and a
-      // stalled clock holds the last reading.
-      const double de = e - slot.prev_inm_j;
-      const double dt = t - slot.prev_clock_s;
-      if (dt > 0.0) slot.last_reading = common::Power{de / dt};
-      slot.prev_inm_j = e;
-      slot.prev_clock_s = t;
-      win_reading_w[w * size + n] = slot.last_reading.value;
-      ++n;
+void Shard::advance_round(double round_s, std::size_t round) {
+  const double round_end = static_cast<double>(round) * round_s + round_s;
+  // Iterate the cluster directly: node(n) is an out-of-line bounds-checked
+  // call, and this loop is the simulator's innermost.
+  std::size_t n = 0;
+  for (simhw::SimNode& node : *cluster) {
+    NodeSlot& slot = slots[n];
+    // Guard on the clock too: a multi-second iteration overshoots the
+    // round boundary and then sits out the following rounds, and
+    // execute_stretch's hoisted setup is pure waste on those (~45% of all
+    // node-rounds in the capped busy-regime bench).
+    if (slot.job != kNoJob && slot.iters_left > 0 &&
+        node.clock().value < round_end) {
+      // One phase-stable stretch: closed-form governor integration in
+      // place of the reference loop's iteration-at-a-time stepping.
+      const simhw::StretchSummary s =
+          node.execute_stretch(slot.demand, slot.iters_left, round_end);
+      slot.iters_left -= s.iterations;
     }
+    const double gap = round_end - node.clock().value;
+    // idle_cached: bitwise-identical to idle() (same deposits, same
+    // governor run) with the constant idle power memoised — the bulk of
+    // a mostly-idle facility's node-rounds.
+    if (gap > 0.0) node.idle_cached(common::Secs{gap});
+    // The reference loop's reading arithmetic, verbatim: power is the INM
+    // delta over the clock delta since the previous round, and a stalled
+    // clock holds the last reading.
+    const double e = node.inm().exact().value;
+    const double t = node.clock().value;
+    const double de = e - slot.prev_inm_j;
+    const double dt = t - slot.prev_clock_s;
+    if (dt > 0.0) slot.last_reading = common::Power{de / dt};
+    slot.prev_inm_j = e;
+    slot.prev_clock_s = t;
+    readings_w[n++] = slot.last_reading.value;
   }
 
-  // Post exact phase-change events for jobs that drained this window. The
-  // merge completes a job the round its slowest node finishes — the same
-  // round the reference sweep would detect it.
-  for (ShardJob& j : jobs) {
-    if (!j.live || j.completion_posted) continue;
-    std::size_t done_at = 0;
-    bool done = true;
-    for (std::size_t local : j.local_nodes) {
-      if (slots[local].iters_left > 0) {
-        done = false;
-        break;
-      }
-      done_at = std::max(done_at, done_round[local]);
-    }
-    if (done) {
-      events.push({done_at, EventKind::kCompletionCheck, j.job});
-      j.completion_posted = true;
-    }
-  }
-}
-
-void Shard::rewind_to(std::size_t w) {
-  for (std::size_t n = 0; n < size; ++n) {
-    slots[n].prev_inm_j = win_inm_j[w * size + n];
-    slots[n].prev_clock_s = win_clock_s[w * size + n];
-  }
+  // A job completes the round its slowest node drains — the round the
+  // reference sweep detects it.
+  drained.clear();
+  std::erase_if(jobs, [this](const ShardJob& j) {
+    const bool done = std::all_of(
+        j.local_nodes.begin(), j.local_nodes.end(),
+        [this](std::size_t local) { return slots[local].iters_left == 0; });
+    if (done) drained.push_back(j.job);
+    return done;
+  });
 }
 
 }  // namespace ear::sim

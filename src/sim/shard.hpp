@@ -7,20 +7,19 @@
 // so shard advancement is fully independent of both the worker-thread
 // count and the other shards. Cross-shard effects (federated cap
 // re-splits, fault draws against the shared fault stream, job admission
-// and completion accounting) happen only at barrier rounds, merged in
-// serial shard-index order, which keeps every result bitwise-identical
-// at any `sim_jobs`.
+// and completion accounting) happen only at the barrier that closes
+// every control round, merged in serial shard-index order, which keeps
+// every result bitwise-identical at any `sim_jobs`.
 //
-// Between barriers a shard advances autonomously through a *window* of
-// control rounds, recording per-round INM/clock snapshots so the serial
-// merge can replay readings, fault draws and completions round-by-round
-// in exactly the order of the round loop kept as the test oracle
-// (tests/oracles/facility_reference.hpp). The owner-thread discipline
-// follows the RROS per-CPU run-queue idiom cited in the roadmap: all
-// EAR_SHARD_LOCAL members are touched only by the shard's current owner
-// (one worker inside the parallel window advance, the merge thread
-// between barriers — handover synchronises through the parallel_for
-// join).
+// Between barriers a shard advances its nodes through exactly one control
+// round, leaving each node's INM energy in its NodeSlot, its reading in
+// `readings_w` and the jobs that drained in `drained`, so the serial merge
+// reproduces the round loop kept as the test oracle
+// (tests/oracles/facility_reference.hpp) in its exact order. The owner-thread discipline follows the RROS
+// per-CPU run-queue idiom cited in the roadmap: all EAR_SHARD_LOCAL
+// members are touched only by the shard's current owner (one worker
+// inside the parallel round advance, the merge thread between barriers —
+// handover synchronises through the crew's epoch barrier).
 #pragma once
 
 #include <cstddef>
@@ -36,8 +35,6 @@
 namespace ear::sim {
 
 inline constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
-inline constexpr std::size_t kNoRound =
-    std::numeric_limits<std::size_t>::max();
 
 /// Per-node execution/accounting state (one array per shard; the test
 /// oracle's round loop keeps one flat array of the same slots).
@@ -50,47 +47,10 @@ struct NodeSlot {
   common::Power last_reading{0.0};
 };
 
-/// Facility events. The global queue carries arrival/fault/EARGM
-/// boundaries (anything that can change control state and therefore ends
-/// a window); each shard's queue carries its phase-change events — exact
-/// job-completion rounds posted by the window advance.
-enum class EventKind : std::uint8_t {
-  kJobArrival = 0,      // queue.admit() can change state at this round
-  kFaultBoundary = 1,   // the active dropout-spec set changes
-  kEargmRound = 2,      // federation barrier (cap re-split) due
-  kCompletionCheck = 3  // phase change: a job finished at this round
-};
-
-struct Event {
-  std::size_t round = 0;
-  EventKind kind = EventKind::kJobArrival;
-  std::size_t payload = 0;  // job index for completion events
-};
-
-/// Deterministic min-heap on (round, kind, payload). Duplicate events
-/// compare equal, so heap internals can never leak into results.
-class EventQueue {
- public:
-  static constexpr std::size_t npos = std::numeric_limits<std::size_t>::max();
-
-  void push(Event e);
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  /// Round of the earliest pending event, npos when empty.
-  [[nodiscard]] std::size_t next_round() const {
-    return heap_.empty() ? npos : heap_.front().round;
-  }
-  Event pop();
-
- private:
-  std::vector<Event> heap_;
-};
-
 /// One running job as its owning shard sees it (jobs never span islands).
 struct ShardJob {
   std::size_t job = 0;                   // facility job index
   std::vector<std::size_t> local_nodes;  // island-local, ascending
-  bool live = false;
-  bool completion_posted = false;
 };
 
 struct Shard {
@@ -102,35 +62,20 @@ struct Shard {
   std::size_t size = 0;
 
   EAR_SHARD_LOCAL std::vector<NodeSlot> slots;
-  /// Round in which each node drained its current job (kNoRound while
-  /// work remains); reset at admission.
-  EAR_SHARD_LOCAL std::vector<std::size_t> done_round;
+  /// Each node's reading for the last advanced round (a copy of its
+  /// slot's last_reading), contiguous so the serial merge streams it.
+  EAR_SHARD_LOCAL std::vector<double> readings_w;
+  /// Running jobs, in admission order.
   EAR_SHARD_LOCAL std::vector<ShardJob> jobs;
-  /// Phase-change events (exact completion rounds) for the merge.
-  EAR_SHARD_LOCAL EventQueue events;
-  /// Per-(window round, local node) INM energy / clock snapshots: the
-  /// serial merge replays readings and completions from these, so a
-  /// mid-window termination never observes over-advanced node state.
-  EAR_SHARD_LOCAL std::vector<double> win_inm_j;
-  EAR_SHARD_LOCAL std::vector<double> win_clock_s;
-  /// Per-(window round, local node) power readings, computed inside the
-  /// parallel phase with the reference loop's exact arithmetic
-  /// (delta-energy over delta-clock against the previous round, holding
-  /// the last finite reading when the clock did not move). The serial
-  /// merge only loads and sums these, keeping the barrier O(nodes) adds.
-  EAR_SHARD_LOCAL std::vector<double> win_reading_w;
+  /// Facility indices of the jobs whose last node drained in the last
+  /// advanced round; the merge settles every one of them that round.
+  EAR_SHARD_LOCAL std::vector<std::size_t> drained;
 
-  /// Reset slots' prev-energy/clock bookkeeping to the snapshots of
-  /// window round `w` — used when termination lands mid-window, so the
-  /// epilogue reads node state exactly as of the final merged round.
-  void rewind_to(std::size_t w);
-
-  /// Advance every node of the shard through `rounds` control rounds
-  /// starting at `first_round`, one phase-stable stretch per busy node
-  /// per round, idling to each round boundary; then post completion
-  /// events for jobs that drained inside the window. Owner-thread only.
-  void advance_window(double round_s, std::size_t first_round,
-                      std::size_t rounds);
+  /// Advance every node of the shard through control round `round`: one
+  /// phase-stable stretch per busy node, idling to the round boundary;
+  /// then take each node's reading with the oracle's arithmetic and move
+  /// the drained jobs from `jobs` to `drained`. Owner-thread only.
+  void advance_round(double round_s, std::size_t round);
 };
 
 }  // namespace ear::sim

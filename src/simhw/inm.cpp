@@ -20,7 +20,6 @@ void NodeManagerCounter::deposit(Joules e, Secs dt) {
     const double overshoot = elapsed_ - second_after;
     const double published_exact = exact_.value - power * overshoot;
     published_ = static_cast<std::uint64_t>(published_exact);
-    last_publish_second_ = second_after;
   }
 }
 

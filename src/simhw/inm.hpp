@@ -31,7 +31,6 @@ class NodeManagerCounter {
  private:
   Joules exact_{};
   double elapsed_ = 0.0;
-  double last_publish_second_ = 0.0;
   std::uint64_t published_ = 0;
 };
 

@@ -18,7 +18,6 @@
 #include "facility_reference.hpp"
 #include "faults/fault_plan.hpp"
 #include "sim/facility.hpp"
-#include "sim/shard.hpp"
 
 namespace ear::sim {
 namespace {
@@ -93,7 +92,8 @@ void add_chaos(FacilityConfig& cfg) {
 }
 
 TEST(EventCore, BitwiseEqualUncappedQuiet) {
-  const FacilityConfig cfg = dither_free(24, 3, 10, 3);
+  FacilityConfig cfg = dither_free(24, 3, 10, 3);
+  cfg.budget = {0.0};  // federation off
   expect_bitwise_equal(run_facility_event(cfg), run_facility_reference(cfg));
 }
 
@@ -105,6 +105,7 @@ TEST(EventCore, BitwiseEqualCappedQuiet) {
 
 TEST(EventCore, BitwiseEqualUncappedFaulted) {
   FacilityConfig cfg = dither_free(16, 2, 10, 7);
+  cfg.budget = {0.0};
   add_chaos(cfg);
   expect_bitwise_equal(run_facility_event(cfg), run_facility_reference(cfg));
 }
@@ -153,9 +154,12 @@ TEST(EventCore, BitwiseEqualCliFacilityChaos) {
 TEST(EventCore, BitwiseDeterministicAcrossWorkerCounts) {
   // Chaos included on purpose: the fault stream must not depend on the
   // worker count either; the dithered config also covers the per-shard
-  // governor dither streams.
+  // governor dither streams, and the uncapped one the federation-off path.
+  FacilityConfig uncapped = dither_free(24, 3, 10, 29);
+  uncapped.budget = {0.0};
   for (FacilityConfig cfg : {dither_free(16, 4, 10, 19),
-                             make_facility_config(16, 2, 10, 5)}) {
+                             make_facility_config(16, 2, 10, 5),
+                             uncapped}) {
     add_chaos(cfg);
     FacilityResult base{};
     for (const std::size_t jobs :
@@ -194,21 +198,6 @@ TEST(EventCore, DitheredRunsAgreeWithinDocumentedTolerance) {
   EXPECT_NEAR(ev.facility_energy_j, ref.facility_energy_j,
               0.02 * ref.facility_energy_j);
   EXPECT_NEAR(ev.makespan_s, ref.makespan_s, 0.02 * ref.makespan_s);
-}
-
-TEST(EventCore, EventQueueOrdersByRoundThenKindThenPayload) {
-  EventQueue q;
-  q.push({7, EventKind::kCompletionCheck, 2});
-  q.push({3, EventKind::kEargmRound, 0});
-  q.push({3, EventKind::kJobArrival, 0});
-  q.push({7, EventKind::kCompletionCheck, 1});
-  EXPECT_EQ(q.next_round(), 3u);
-  EXPECT_EQ(q.pop().kind, EventKind::kJobArrival);
-  EXPECT_EQ(q.pop().kind, EventKind::kEargmRound);
-  EXPECT_EQ(q.pop().payload, 1u);
-  EXPECT_EQ(q.pop().payload, 2u);
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.next_round(), EventQueue::npos);
 }
 
 }  // namespace
