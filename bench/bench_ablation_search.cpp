@@ -27,12 +27,12 @@ SearchOutcome run_once(const workload::AppModel& app,
   const sim::RunResult res = sim::run_experiment(cfg);
   SearchOutcome out;
   out.energy_j = res.total_energy_j;
-  const double final_imc = res.imc_timeline.back().second;
+  const double final_imc = res.timeline.back().imc_ghz;
   out.final_imc = final_imc;
   // Convergence: last time the node-0 uncore was more than one bin away
   // from its final value.
-  for (const auto& [t, ghz] : res.imc_timeline) {
-    if (std::fabs(ghz - final_imc) > 0.11) out.converge_s = t;
+  for (const sim::TimelinePoint& p : res.timeline) {
+    if (std::fabs(p.imc_ghz - final_imc) > 0.11) out.converge_s = p.t_s;
   }
   return out;
 }

@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
   const sim::RunResult res = sim::run_experiment(cfg);
 
   std::printf("\nuncore timeline (node 0, downsampled):\n");
-  const auto& tl = res.imc_timeline;
+  const auto& tl = res.timeline;
   const std::size_t step = tl.size() > 60 ? tl.size() / 60 : 1;
   for (std::size_t i = 0; i < tl.size(); i += step) {
-    std::printf("  t=%7.1fs  imc=%.2f GHz\n", tl[i].first, tl[i].second);
+    std::printf("  t=%7.1fs  imc=%.2f GHz\n", tl[i].t_s, tl[i].imc_ghz);
   }
   std::printf("\ntotal: time %.1fs, avg power %.1fW, avg CPU %.2f GHz, "
               "avg IMC %.2f GHz\n",

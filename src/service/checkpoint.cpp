@@ -234,11 +234,6 @@ void serialize_run_result(ByteWriter* w, const sim::RunResult& r) {
   w->f64(r.gbps);
   w->varint(r.nodes.size());
   for (const sim::NodeResult& n : r.nodes) serialize_node_result(w, n);
-  w->varint(r.imc_timeline.size());
-  for (const auto& [t, ghz] : r.imc_timeline) {
-    w->f64(t);
-    w->f64(ghz);
-  }
   w->varint(r.timeline.size());
   for (const sim::TimelinePoint& p : r.timeline) {
     w->f64(p.t_s);
@@ -271,13 +266,6 @@ sim::RunResult deserialize_run_result(ByteReader* r) {
   out.nodes.reserve(nodes);
   for (std::uint64_t i = 0; i < nodes; ++i) {
     out.nodes.push_back(deserialize_node_result(r));
-  }
-  const std::uint64_t imc = r->varint();
-  out.imc_timeline.reserve(imc);
-  for (std::uint64_t i = 0; i < imc; ++i) {
-    const double t = r->f64();
-    const double ghz = r->f64();
-    out.imc_timeline.emplace_back(t, ghz);
   }
   const std::uint64_t tl = r->varint();
   out.timeline.reserve(tl);

@@ -42,7 +42,7 @@ namespace ear::service {
 
 /// Bumped on any incompatible layout change; old files are rejected
 /// with a clear note, never misread.
-inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
+inline constexpr std::uint32_t kCheckpointFormatVersion = 2;
 
 /// One completed (point, run) slot.
 struct SlotRecord {

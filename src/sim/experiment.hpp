@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -118,9 +117,8 @@ struct RunResult {
   double cpi = 0.0;
   double gbps = 0.0;  // per-node average
   std::vector<NodeResult> nodes;
-  /// (time, uncore GHz) samples from node 0, for figure-style series.
-  std::vector<std::pair<double, double>> imc_timeline;
-  /// Full node-0 operating-point timeline (one sample per iteration).
+  /// Node-0 operating-point timeline (one sample per iteration, or per
+  /// `timeline_stride` iterations).
   std::vector<TimelinePoint> timeline;
   /// EARGM statistics when a cluster budget was configured.
   std::size_t eargm_throttles = 0;

@@ -3,9 +3,9 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "sim/campaign.hpp"
 
 namespace ear::sim {
 
@@ -55,15 +55,12 @@ AveragedResult reduce_runs(std::span<const RunResult> runs) {
 
 AveragedResult run_averaged(const ExperimentConfig& cfg, std::size_t runs,
                             std::size_t jobs) {
-  EAR_CHECK_MSG(runs > 0, "need at least one run");
-  // Each run lands in its index's slot and the reduction walks the slots
-  // in order, so the result is bitwise identical for any job count.
-  std::vector<RunResult> results(runs);
-  common::parallel_for(
-      runs,
-      [&](std::size_t r) { results[r] = run_experiment(config_for_run(cfg, r)); },
-      jobs);
-  return reduce_runs(results);
+  // A one-point campaign: the same per-run seeds, per-run slots and
+  // run-index-order reduction, so the result is bitwise identical for any
+  // job count.
+  Campaign campaign(CampaignOptions{.jobs = jobs});
+  campaign.add(CampaignPoint{.cfg = cfg, .runs = runs});
+  return campaign.run().front().avg;
 }
 
 Comparison compare(const AveragedResult& reference,

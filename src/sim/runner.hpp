@@ -37,14 +37,14 @@ struct AveragedResult {
                                               std::size_t run);
 
 /// Reduce per-run results (in run-index order) to the paper-style mean.
-/// Shared by run_averaged and the parallel Campaign engine, so both
-/// produce bitwise-identical numbers for the same runs.
+/// The Campaign engine reduces every point with it (run_averaged is a
+/// one-point campaign), so equal runs give bitwise-identical numbers.
 [[nodiscard]] AveragedResult reduce_runs(std::span<const RunResult> runs);
 
-/// Execute `runs` independent runs (mixed per-run seeds) and average.
-/// `jobs` > 1 fans the runs out over threads (0 = all cores /
-/// EAR_SIM_JOBS); the reduction is always in run-index order, so the
-/// result does not depend on the job count.
+/// Execute `runs` independent runs (mixed per-run seeds) and average, as
+/// a one-point Campaign. `jobs` > 1 fans the runs out over threads
+/// (0 = all cores / EAR_SIM_JOBS); the reduction is always in run-index
+/// order, so the result does not depend on the job count.
 [[nodiscard]] AveragedResult run_averaged(const ExperimentConfig& cfg,
                                           std::size_t runs = 3,
                                           std::size_t jobs = 1);

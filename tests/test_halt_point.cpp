@@ -45,7 +45,7 @@ TEST_P(HaltPoint, SearchStopsWhereTheLawPredicts) {
   const RunResult res = run_experiment(run_cfg);
 
   // The settled window maximum is the last timeline value.
-  const double settled = res.imc_timeline.back().second;
+  const double settled = res.timeline.back().imc_ghz;
 
   // Predicted halt: largest grid f whose CPI growth stays within budget.
   const double s = k.stall * k.uncore_share * (1.0 - k.comm);

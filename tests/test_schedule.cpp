@@ -2,6 +2,10 @@
 // starts, idle accounting, EARDBD integration, and shared EARGM budgets.
 #include "sim/schedule.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
@@ -112,6 +116,32 @@ TEST(Schedule, SharedBudgetThrottlesOverlapOnly) {
   free_cfg.eargm = eargm::EargmConfig{.cluster_budget = {5000.0}};
   const auto free_res = run_schedule(free_cfg);
   EXPECT_EQ(free_res.eargm_throttles, 0u);
+}
+
+TEST(Schedule, OneJobMatchesExperiment) {
+  // One job submitted at t=0 on the whole cluster is exactly one
+  // run_experiment: both engines step the same per-job loop, so the job's
+  // end, CPU and IMC clocks must agree bit for bit.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const char* name : {"bqcd", "hpcg", "bt-mz.c.omp", "dgemm"}) {
+    for (const earl::EarlSettings& earl :
+         {settings_me_eufs(), settings_me()}) {
+      SCOPED_TRACE(std::string(name) + " / " + earl.policy);
+      const workload::AppModel app = workload::make_app(name);
+      ScheduleConfig cfg;
+      cfg.node_config = app.node_config;
+      cfg.cluster_nodes = app.nodes;
+      cfg.jobs = {JobSpec{.app = app, .earl = earl}};
+      cfg.seed = 7;
+      const ScheduleResult sched = run_schedule(cfg);
+      const RunResult exp =
+          run_experiment(ExperimentConfig{.app = app, .earl = earl, .seed = 7});
+      ASSERT_EQ(sched.jobs.size(), 1u);
+      EXPECT_EQ(bits(sched.jobs[0].end_s), bits(exp.total_time_s));
+      EXPECT_EQ(bits(sched.jobs[0].avg_cpu_ghz), bits(exp.avg_cpu_ghz));
+      EXPECT_EQ(bits(sched.jobs[0].avg_imc_ghz), bits(exp.avg_imc_ghz));
+    }
+  }
 }
 
 }  // namespace

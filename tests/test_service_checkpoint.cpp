@@ -68,9 +68,9 @@ sim::RunResult adversarial_result() {
   n.degraded = true;
   r.nodes = {n, sim::NodeResult{}};
 
-  r.imc_timeline = {{0.5, 2.0}, {1.5, 1.8}, {2.5, -0.0}};
   r.timeline = {{0.1, 2.4, 2.0, 300.25},
-                {0.2, std::numeric_limits<double>::quiet_NaN(), 1.8, 295.0}};
+                {0.2, std::numeric_limits<double>::quiet_NaN(), 1.8, 295.0},
+                {0.3, 2.2, -0.0, 290.5}};
   r.eargm_throttles = 5;
   r.eargm_final_limit = 3;
   r.fault_report.msr_drops = 7;
@@ -115,12 +115,6 @@ void expect_same_result(const sim::RunResult& a, const sim::RunResult& b) {
   ASSERT_EQ(a.nodes.size(), b.nodes.size());
   for (std::size_t i = 0; i < a.nodes.size(); ++i) {
     expect_same_node(a.nodes[i], b.nodes[i]);
-  }
-  ASSERT_EQ(a.imc_timeline.size(), b.imc_timeline.size());
-  for (std::size_t i = 0; i < a.imc_timeline.size(); ++i) {
-    EXPECT_TRUE(same_double(a.imc_timeline[i].first, b.imc_timeline[i].first));
-    EXPECT_TRUE(
-        same_double(a.imc_timeline[i].second, b.imc_timeline[i].second));
   }
   ASSERT_EQ(a.timeline.size(), b.timeline.size());
   for (std::size_t i = 0; i < a.timeline.size(); ++i) {

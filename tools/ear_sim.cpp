@@ -25,6 +25,7 @@
 // bitwise independent of the job count.
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -145,7 +146,10 @@ int cmd_run(const common::ArgParser& args) {
   const auto runs = static_cast<std::size_t>(args.get("runs", std::int64_t{3}));
   const auto jobs = static_cast<std::size_t>(args.get("jobs", std::int64_t{0}));
 
-  const sim::RunResult one = sim::run_experiment(cfg);
+  const std::string trace = args.get("trace", std::string());
+  // The single seeded run is only read for the EARGM line and the trace.
+  std::optional<sim::RunResult> one;
+  if (cfg.eargm || !trace.empty()) one = sim::run_experiment(cfg);
   const sim::AveragedResult avg = sim::run_averaged(cfg, runs, jobs);
 
   std::printf("%s under %s: time %.1fs (+/- %.1f), power %.1fW, energy "
@@ -156,7 +160,7 @@ int cmd_run(const common::ArgParser& args) {
   if (cfg.eargm) {
     std::printf("EARGM: %zu throttle events, final limit p%zu, aggregate "
                 "%.0fW vs budget %.0fW\n",
-                one.eargm_throttles, one.eargm_final_limit,
+                one->eargm_throttles, one->eargm_final_limit,
                 avg.avg_dc_power_w * static_cast<double>(app.nodes),
                 cfg.eargm->cluster_budget.value);
   }
@@ -174,13 +178,12 @@ int cmd_run(const common::ArgParser& args) {
     table.print();
   }
 
-  const std::string trace = args.get("trace", std::string());
   if (!trace.empty()) {
     std::ofstream out(trace);
     if (!out) throw common::ConfigError("cannot open " + trace);
-    sim::write_timeline_csv(one, out);
+    sim::write_timeline_csv(*one, out);
     std::printf("timeline written to %s (%zu points)\n", trace.c_str(),
-                one.timeline.size());
+                one->timeline.size());
   }
   return 0;
 }
