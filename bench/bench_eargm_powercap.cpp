@@ -30,6 +30,8 @@ int main() {
     sim::ExperimentConfig cfg = base;
     cfg.eargm = eargm::EargmConfig{.cluster_budget = {budget}};
     const auto res = sim::run_experiment(cfg);
+    std::string limit = "p";
+    limit += std::to_string(res.eargm_final_limit);
     table.add_row(
         {common::AsciiTable::num(budget, 0),
          common::AsciiTable::num(
@@ -37,7 +39,7 @@ int main() {
          common::AsciiTable::num(res.total_time_s, 1),
          common::AsciiTable::num(res.total_energy_j / 1000, 1),
          std::to_string(res.eargm_throttles),
-         "p" + std::to_string(res.eargm_final_limit)});
+         limit});
   }
   table.print();
   std::printf(

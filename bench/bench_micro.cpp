@@ -8,6 +8,7 @@
 
 #include "dynais/dynais.hpp"
 #include "dynais_reference.hpp"
+#include "hw_ufs_reference.hpp"
 #include "metrics/accumulator.hpp"
 #include "policies/min_energy_eufs.hpp"
 #include "policies/registry.hpp"
@@ -99,6 +100,48 @@ void BM_NodeIteration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NodeIteration);
+
+// One node iteration's governor work on the paper path: 2 sockets, 99
+// control periods (a ~1 s iteration), the dither gate open at the
+// default p = 0.12. BM_GovernorPeriods is the production loop,
+// BM_GovernorPeriodsReference the per-period oracle it replaced.
+simhw::UfsInputs governor_inputs() {
+  return simhw::UfsInputs{.requested_core_freq = common::Freq::ghz(2.4),
+                          .effective_core_freq = common::Freq::ghz(2.4),
+                          .bw_utilisation = 0.05,
+                          .active_cores = 40};
+}
+constexpr simhw::UncoreRatioLimit kGovernorWindow{
+    .max_freq = common::Freq::ghz(2.4), .min_freq = common::Freq::ghz(1.2)};
+constexpr std::size_t kGovernorPeriods = 99;
+
+void BM_GovernorPeriods(benchmark::State& state) {
+  const auto cfg = simhw::make_skylake_6148_node();
+  std::vector<simhw::HwUfsGovernor> govs;
+  for (std::uint64_t s = 1; s <= 2; ++s) {
+    govs.emplace_back(cfg, simhw::HwUfsParams{}, s);
+  }
+  const simhw::UfsInputs in = governor_inputs();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simhw::HwUfsGovernor::evaluate_periods(
+        govs, in, kGovernorWindow, kGovernorPeriods));
+  }
+}
+BENCHMARK(BM_GovernorPeriods);
+
+void BM_GovernorPeriodsReference(benchmark::State& state) {
+  const auto cfg = simhw::make_skylake_6148_node();
+  std::vector<simhw::ReferenceHwUfsGovernor> govs;
+  for (std::uint64_t s = 1; s <= 2; ++s) {
+    govs.emplace_back(cfg, simhw::HwUfsParams{}, s);
+  }
+  const simhw::UfsInputs in = governor_inputs();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(simhw::reference_evaluate_periods(
+        govs, in, kGovernorWindow, kGovernorPeriods));
+  }
+}
+BENCHMARK(BM_GovernorPeriodsReference);
 
 void BM_SignatureComputation(benchmark::State& state) {
   const auto cfg = simhw::make_skylake_6148_node();

@@ -76,14 +76,19 @@ std::vector<double> least_squares(
   const std::size_t k = rows.front().size();
   EAR_CHECK_MSG(rows.size() >= k, "underdetermined least-squares system");
 
-  // Normal equations: (X^T X) beta = X^T y.
-  std::vector<std::vector<double>> a(k, std::vector<double>(k + 1, 0.0));
+  // Normal equations: (X^T X) beta = X^T y, as the k x (k + 1) augmented
+  // matrix in one row-major buffer.
+  const std::size_t w = k + 1;
+  std::vector<double> a(k * w, 0.0);
+  const auto at = [&](std::size_t r, std::size_t c) -> double& {
+    return a[r * w + c];
+  };
   for (std::size_t s = 0; s < rows.size(); ++s) {
     const auto& row = rows[s];
     EAR_CHECK(row.size() == k);
     for (std::size_t i = 0; i < k; ++i) {
-      for (std::size_t j = 0; j < k; ++j) a[i][j] += row[i] * row[j];
-      a[i][k] += row[i] * y[s];
+      for (std::size_t j = 0; j < k; ++j) at(i, j) += row[i] * row[j];
+      at(i, k) += row[i] * y[s];
     }
   }
 
@@ -91,21 +96,23 @@ std::vector<double> least_squares(
   for (std::size_t col = 0; col < k; ++col) {
     std::size_t pivot = col;
     for (std::size_t r = col + 1; r < k; ++r) {
-      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
+      if (std::fabs(at(r, col)) > std::fabs(at(pivot, col))) pivot = r;
     }
-    if (std::fabs(a[pivot][col]) < 1e-12) {
+    if (std::fabs(at(pivot, col)) < 1e-12) {
       throw ConfigError("least_squares: singular normal equations");
     }
-    std::swap(a[col], a[pivot]);
+    if (pivot != col) {
+      std::swap_ranges(&at(col, 0), &at(col, 0) + w, &at(pivot, 0));
+    }
     for (std::size_t r = 0; r < k; ++r) {
       if (r == col) continue;
-      const double factor = a[r][col] / a[col][col];
-      for (std::size_t c = col; c <= k; ++c) a[r][c] -= factor * a[col][c];
+      const double factor = at(r, col) / at(col, col);
+      for (std::size_t c = col; c <= k; ++c) at(r, c) -= factor * at(col, c);
     }
   }
 
   std::vector<double> beta(k);
-  for (std::size_t i = 0; i < k; ++i) beta[i] = a[i][k] / a[i][i];
+  for (std::size_t i = 0; i < k; ++i) beta[i] = at(i, k) / at(i, i);
   return beta;
 }
 

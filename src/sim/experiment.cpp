@@ -47,17 +47,20 @@ class RaplPoller {
 
 /// One job on nodes [first, first + app.nodes) of a cluster: the EARL
 /// sessions (one per node, as the real runtime runs), the accounting
-/// records, the (phase, iteration) cursor with its imbalance-scaled
-/// per-phase demands, and the PMU baselines for the job-window averages.
+/// records (or, without an Accounting, the INM baselines their
+/// monotonic-energy check needs), the (phase, iteration) cursor with its
+/// imbalance-scaled per-phase demands, and the PMU baselines for the
+/// job-window averages.
 /// run_experiment steps one JobRun over the whole cluster; run_schedule
 /// interleaves one per job.
 class JobRun {
  public:
   /// Attaches EARL to every node of the allocation (unless `attach` is
-  /// false: a raw run) and opens one accounting record per node.
+  /// false: a raw run) and opens one accounting record per node when
+  /// `accounting` is given.
   JobRun(const workload::AppModel& app, const earl::EarlSettings& settings,
          bool attach, std::size_t first, simhw::Cluster& cluster,
-         std::vector<eard::NodeDaemon>& daemons, eard::Accounting& accounting,
+         std::vector<eard::NodeDaemon>& daemons, eard::Accounting* accounting,
          std::uint64_t job_id, RunObserver* observer)
       : app_(app),
         first_(first),
@@ -73,12 +76,16 @@ class JobRun {
         sessions_.push_back(library.attach(daemons[first + k], app.is_mpi));
       }
     }
-    record_base_ = accounting.records().size();
+    if (accounting != nullptr) record_base_ = accounting->records().size();
     for (std::size_t k = 0; k < app.nodes; ++k) {
       const simhw::SimNode& node = cluster.node(first + k);
       start_.push_back(node.counters());
-      (void)accounting.job_started(job_id, app.name, settings.policy,
-                                   first + k, node);
+      if (accounting != nullptr) {
+        (void)accounting->job_started(job_id, app.name, settings.policy,
+                                      first + k, node);
+      } else {
+        start_joules_.push_back(node.inm().read_joules());
+      }
     }
     enter_phase();
   }
@@ -128,10 +135,17 @@ class JobRun {
     }
   }
 
-  /// Close the accounting records at the nodes' current clocks.
+  /// Close the accounting records at the nodes' current clocks; without
+  /// records, run the same monotonic-energy check job_ended makes.
   void finish() {
     for (std::size_t k = 0; k < app_.nodes; ++k) {
-      accounting_.job_ended(record_base_ + k, cluster_.node(first_ + k));
+      const simhw::SimNode& node = cluster_.node(first_ + k);
+      if (accounting_ != nullptr) {
+        accounting_->job_ended(record_base_ + k, node);
+      } else {
+        EAR_CHECK_MSG(node.inm().read_joules() >= start_joules_[k],
+                      "energy counter went backwards");
+      }
     }
   }
 
@@ -202,10 +216,11 @@ class JobRun {
   const workload::AppModel& app_;
   std::size_t first_;
   simhw::Cluster& cluster_;
-  eard::Accounting& accounting_;
+  eard::Accounting* accounting_;  // null: no records, check only
   RunObserver* observer_;
   std::vector<std::unique_ptr<earl::EarlSession>> sessions_;
   std::vector<simhw::PmuCounters> start_;
+  std::vector<std::uint64_t> start_joules_;  // INM baselines, no records
   std::size_t record_base_ = 0;
   std::size_t phase_ = 0;
   std::size_t in_phase_ = 0;   // iteration within phase_
@@ -261,8 +276,9 @@ RunResult run_experiment(const ExperimentConfig& cfg) {
       injector->attach(n, cluster.node(n), daemons[n]);
     }
   }
-  eard::Accounting accounting;
-  JobRun job(app, cfg.earl, cfg.attach_earl, 0, cluster, daemons, accounting,
+  // No Accounting: nothing reads per-run records (run_schedule keeps
+  // them for job_energy_j); finish() still checks the energy counters.
+  JobRun job(app, cfg.earl, cfg.attach_earl, 0, cluster, daemons, nullptr,
              cfg.seed, cfg.observer);
   // Fixed operating points (motivation-style sweeps) are applied after
   // EARL's defaults so they win; they pin the node for the whole run.
@@ -467,7 +483,7 @@ ScheduleResult run_schedule(const ScheduleConfig& cfg) {
         if (gap > 0.0) cluster.node(n).idle(common::Secs{gap});
       }
       runs[next].emplace(spec.app, spec.earl, true, spec.first_node, cluster,
-                         daemons, out.accounting, next + 1, nullptr);
+                         daemons, &out.accounting, next + 1, nullptr);
       outcomes[next] = JobOutcome{.app_name = spec.app.name,
                                   .policy = spec.earl.policy,
                                   .start_s = runs[next]->clock()};

@@ -168,13 +168,15 @@ void print_facility_report(const FacilityResult& r) {
                    "missed", "resumed"});
   for (std::size_t i = 0; i < r.islands.size(); ++i) {
     const FacilityIslandOutcome& io = r.islands[i];
+    std::string limit = "p";
+    limit += std::to_string(io.final_limit);
     islands.add_row(
         {std::to_string(i), io.node_type, std::to_string(io.nodes),
          common::AsciiTable::num(io.energy_j / 1e6, 3),
          common::AsciiTable::num(io.final_budget_w / 1e3, 2),
          common::AsciiTable::num(safe_ratio(io.final_budget_w, r.budget_w),
                                  2),
-         "p" + std::to_string(io.final_limit),
+         limit,
          std::to_string(io.throttles), std::to_string(io.releases),
          std::to_string(io.blind_rounds), std::to_string(io.missed_readings),
          std::to_string(io.resumed_nodes)});

@@ -1,5 +1,11 @@
 #include "simhw/hw_ufs.hpp"
 
+#include <array>
+#include <cmath>
+#include <utility>
+
+#include "common/contracts.hpp"
+
 namespace ear::simhw {
 
 Freq hw_ufs_steady_target(const NodeConfig& cfg, const HwUfsParams& params,
@@ -67,13 +73,72 @@ Freq HwUfsGovernor::evaluate(const UfsInputs& in,
   return current_;
 }
 
-double HwUfsGovernor::evaluate_periods(const UfsInputs& in,
+std::uint64_t dither_threshold(double p) {
+  constexpr std::uint64_t kDraws = std::uint64_t{1} << 53;
+  if (!(p > 0.0)) return 0;
+  if (p >= 1.0) return kDraws;
+  // p * 2^53 only rescales the exponent, so it is exact (subnormal p
+  // included), and so is its ceil; it lies in (0, 2^53].
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
+double HwUfsGovernor::evaluate_periods(std::span<HwUfsGovernor> sockets,
+                                       const UfsInputs& in,
                                        const UncoreRatioLimit& limit,
                                        std::size_t periods) {
-  if (periods == 0) return 0.0;
+  if (sockets.empty() || periods == 0) return 0.0;
+  const HwUfsGovernor& first = sockets.front();
+  for (const HwUfsGovernor& g : sockets) EAR_EXPECT(g.cfg_ == first.cfg_);
+  const UfsStretchSummary s = first.summarise(in, limit);
+  // k of the n periods selected the dithered value: the sum is a pair of
+  // integer products, exact as long as it stays below 2^53 kHz (n in the
+  // billions), and the per-period double accumulation it replaces is
+  // exact over the same range.
+  const auto sum_khz = [&](std::uint64_t k) {
+    return static_cast<double>(s.steady.as_khz() * (periods - k) +
+                               s.dithered.as_khz() * k);
+  };
+  if (!s.can_dither) {
+    // evaluate() consumes no draw in this case; neither do we.
+    for (HwUfsGovernor& g : sockets) g.current_ = s.steady;
+    return sum_khz(0);
+  }
+
+  const std::uint64_t threshold =
+      dither_threshold(first.params_.dither_probability);
+  std::uint64_t last_k = 0;
+  // Steps the streams of sockets g[J]... in one loop, on local copies, so
+  // their independent dependency chains overlap; each stream still sees
+  // exactly the draws a loop of its own would. k counts a socket's
+  // dithered periods, `last` is its final draw's outcome.
+  const auto lanes = [&]<std::size_t... J>(HwUfsGovernor* g,
+                                           std::index_sequence<J...>) {
+    constexpr std::size_t kLanes = sizeof...(J);
+    std::array<common::Rng, kLanes> rng{g[J].rng_...};
+    std::array<std::uint64_t, kLanes> k{};
+    std::array<bool, kLanes> last{};
+    for (std::size_t p = 0; p < periods; ++p) {
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        last[j] = (rng[j].next_u64() >> 11) < threshold;
+        k[j] += last[j] ? 1 : 0;
+      }
+    }
+    ((g[J].rng_ = rng[J], g[J].current_ = last[J] ? s.dithered : s.steady),
+     ...);
+    last_k = k.back();
+  };
+  std::size_t i = 0;
+  for (; i + 2 <= sockets.size(); i += 2) {
+    lanes(&sockets[i], std::make_index_sequence<2>{});
+  }
+  if (i < sockets.size()) lanes(&sockets[i], std::make_index_sequence<1>{});
+  return sum_khz(last_k);
+}
+
+UfsStretchSummary HwUfsGovernor::summarise(
+    const UfsInputs& in, const UncoreRatioLimit& limit) const {
   const UncoreRange& range = cfg_->uncore;
   const Freq target = hw_ufs_steady_target(*cfg_, params_, in);
-
   // Respect the MSR window (this is how explicit UFS overrides the loop).
   const Freq lo = range.clamp(limit.min_freq);
   const Freq hi = range.clamp(limit.max_freq);
@@ -82,56 +147,24 @@ double HwUfsGovernor::evaluate_periods(const UfsInputs& in,
     if (f > hi) f = hi;
     return f;
   };
-
   // Only two outcomes exist per period: the steady target, or — when the
   // dither gate can open — one bin below it (the real loop hunts around
   // its setpoint, which is what makes measured averages land just below
-  // the limit, 2.39 vs 2.40). Precompute both windowed values; each
-  // period is then one rng draw and a select. A probability of zero (or
-  // less) can never flip a selection, so it closes the gate outright and
-  // the rng is left untouched — dither-free configurations are exactly
-  // as deterministic as the no-headroom case.
-  const Freq steady = window(target);
-  const bool can_dither =
-      target > range.min() && params_.dither_probability > 0.0;
-
-  // kHz values are integers well below 2^53 and at most a few hundred are
-  // summed, so every partial sum is exact and the total is bitwise
-  // identical to the per-period accumulation this replaces.
-  double sum_khz = 0.0;
-  if (!can_dither) {
-    // evaluate() consumes no draw in this case; neither do we.
-    sum_khz = static_cast<double>(steady.as_khz()) *
-              static_cast<double>(periods);
-    current_ = steady;
-    return sum_khz;
-  }
-  const Freq dithered = window(range.step_down(target));
-  Freq last = steady;
-  for (std::size_t i = 0; i < periods; ++i) {
-    last = rng_.uniform() < params_.dither_probability ? dithered : steady;
-    sum_khz += static_cast<double>(last.as_khz());
-  }
-  current_ = last;
-  return sum_khz;
-}
-
-UfsStretchSummary HwUfsGovernor::integrate_stretch(
-    const UfsInputs& in, const UncoreRatioLimit& limit) {
-  const UncoreRange& range = cfg_->uncore;
-  const Freq target = hw_ufs_steady_target(*cfg_, params_, in);
-  const Freq lo = range.clamp(limit.min_freq);
-  const Freq hi = range.clamp(limit.max_freq);
-  const auto window = [&](Freq f) {
-    if (f < lo) f = lo;
-    if (f > hi) f = hi;
-    return f;
-  };
+  // the limit, 2.39 vs 2.40). A probability of zero (or less) can never
+  // flip a selection, so it closes the gate outright and the rng is left
+  // untouched — dither-free configurations are exactly as deterministic
+  // as the no-headroom case.
   UfsStretchSummary out;
   out.steady = window(target);
   out.can_dither = target > range.min() && params_.dither_probability > 0.0;
   out.dithered =
       out.can_dither ? window(range.step_down(target)) : out.steady;
+  return out;
+}
+
+UfsStretchSummary HwUfsGovernor::integrate_stretch(
+    const UfsInputs& in, const UncoreRatioLimit& limit) {
+  const UfsStretchSummary out = summarise(in, limit);
   current_ = out.steady;
   return out;
 }

@@ -20,6 +20,9 @@
 // the application would not notice a slower uncore.
 #pragma once
 
+#include <cstdint>
+#include <span>
+
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "simhw/config.hpp"
@@ -108,6 +111,13 @@ struct UfsStretchSummary {
   }
 };
 
+/// Integer form of the per-period dither test. `Rng::uniform()` is
+/// u * 2^-53 for u = next_u64() >> 11 in [0, 2^53), and that product is
+/// exact, so `uniform() < p` holds iff u < p * 2^53 over the reals, i.e.
+/// iff u < ceil(p * 2^53). Returns that bound: 0 for p <= 0 (or NaN), no
+/// draw dithers; 2^53 for p >= 1, every draw dithers.
+[[nodiscard]] std::uint64_t dither_threshold(double p);
+
 /// One governor instance per socket.
 class HwUfsGovernor {
  public:
@@ -120,17 +130,37 @@ class HwUfsGovernor {
   Freq evaluate(const UfsInputs& in, const UncoreRatioLimit& limit);
 
   /// Evaluate `periods` consecutive control-loop periods under constant
-  /// inputs and return the sum of the selected frequencies in kHz.
-  /// Bitwise identical to calling evaluate() `periods` times and summing
-  /// `current().as_khz()` into a double: the steady-state target is a
-  /// pure function of the inputs, so it is computed once, and the rng
-  /// consumes exactly the draws evaluate() would (one per period when the
-  /// dither gate can open, none otherwise — a gate that cannot change the
-  /// selection, i.e. dither_probability <= 0, counts as closed and
-  /// consumes nothing). `current()` afterwards is the last period's
-  /// selection. `periods == 0` is a no-op returning 0.
+  /// inputs on every socket of a node and return the last socket's sum
+  /// of selected frequencies in kHz (the last socket drives the node's
+  /// reported value; EAR applies node-level workloads symmetrically).
+  /// All `sockets` must share one NodeConfig and one HwUfsParams, as a
+  /// SimNode's governors do: the target, the MSR window and the dither
+  /// threshold are computed once, from the first socket.
+  ///
+  /// Bitwise identical, socket by socket, to calling evaluate()
+  /// `periods` times and summing `current().as_khz()` into a double
+  /// (tests/oracles/hw_ufs_reference.hpp keeps that loop):
+  ///  - each period is one draw `next_u64() >> 11` compared against
+  ///    dither_threshold(p), which is exactly `uniform() < p`;
+  ///  - the sum is steady*(n-k) + dithered*k for k dithered periods, an
+  ///    integer below 2^53 for any realistic n, so it equals the
+  ///    per-period double accumulation;
+  ///  - the sockets' rng streams advance in one loop, two at a time,
+  ///    which overlaps their independent xoshiro dependency chains
+  ///    without changing any stream's draws.
+  /// When the dither gate is closed (target at the range floor, or
+  /// dither_probability <= 0) no draw is consumed. `current()`
+  /// afterwards is each socket's last selection. `periods == 0` is a
+  /// no-op returning 0.
+  static double evaluate_periods(std::span<HwUfsGovernor> sockets,
+                                 const UfsInputs& in,
+                                 const UncoreRatioLimit& limit,
+                                 std::size_t periods);
+  /// Single-socket form of the above.
   double evaluate_periods(const UfsInputs& in, const UncoreRatioLimit& limit,
-                          std::size_t periods);
+                          std::size_t periods) {
+    return evaluate_periods({this, 1}, in, limit, periods);
+  }
 
   /// Closed-form stretch integration: summarise the per-period behaviour
   /// under constant inputs without advancing the RNG, and leave
@@ -152,8 +182,14 @@ class HwUfsGovernor {
 
   [[nodiscard]] Freq current() const { return current_; }
   [[nodiscard]] const HwUfsParams& params() const { return params_; }
+  /// The dither stream, for tests that compare its state after a call.
+  [[nodiscard]] const common::Rng& rng() const { return rng_; }
 
  private:
+  /// Steady target, windowed dither value and gate for constant inputs.
+  [[nodiscard]] UfsStretchSummary summarise(
+      const UfsInputs& in, const UncoreRatioLimit& limit) const;
+
   const NodeConfig* cfg_;
   HwUfsParams params_;
   common::Rng rng_;

@@ -109,14 +109,12 @@ Freq SimNode::run_governor(const UfsInputs& in, Secs duration) {
   const auto periods = static_cast<std::size_t>(std::clamp(
       duration.value / period, 1.0, 400.0));
   const UncoreRatioLimit limit = msrs_.front().uncore_limit();
-  // Each socket's governor has its own rng stream, so batching all of one
-  // governor's periods before the next (instead of interleaving sockets
-  // within each period) leaves every stream — and thus every selection —
-  // unchanged. The last socket drives the reported value, matching the
-  // interleaved loop this replaces; other sockets track identically
-  // because EAR applies node-level workloads symmetrically.
-  double sum_khz = 0.0;
-  for (auto& g : governors_) sum_khz = g.evaluate_periods(in, limit, periods);
+  // One call steps every socket's governor (each on its own rng stream);
+  // the last socket drives the reported value, and the other sockets
+  // track identically because EAR applies node-level workloads
+  // symmetrically.
+  const double sum_khz =
+      HwUfsGovernor::evaluate_periods(governors_, in, limit, periods);
   return Freq::khz(static_cast<std::uint64_t>(
       sum_khz / static_cast<double>(periods)));
 }

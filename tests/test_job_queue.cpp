@@ -234,7 +234,9 @@ TEST(JobQueue, MatchesOldScanOnRandomisedArrivalStreams) {
     const std::vector<std::size_t> islands = {17, 64, 96};
     std::vector<FacilityJob> stream;
     for (int j = 0; j < 120; ++j) {
-      stream.push_back(job("r" + std::to_string(j), 1 + rng() % 40,
+      std::string name = "r";
+      name += std::to_string(j);
+      stream.push_back(job(name, 1 + rng() % 40,
                            static_cast<double>(rng() % 50)));
     }
     JobQueue q(stream, islands);

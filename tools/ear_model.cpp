@@ -173,8 +173,12 @@ int main(int argc, char** argv) {
       }
     }
 
-    summary.add_row({"(" + common::AsciiTable::num(env.compute_share, 2) +
-                         ", " + common::AsciiTable::num(env.dyn_share, 2) + ")",
+    std::string shares = "(";
+    shares += common::AsciiTable::num(env.compute_share, 2);
+    shares += ", ";
+    shares += common::AsciiTable::num(env.dyn_share, 2);
+    shares += ')';
+    summary.add_row({shares,
                      std::to_string(report.states),
                      std::to_string(report.transitions),
                      std::to_string(report.max_depth),
