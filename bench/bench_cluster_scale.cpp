@@ -13,14 +13,22 @@
 // facility runs once on the event core and once on the round-loop test
 // oracle (tests/oracles/), single-threaded (speedup is the wall-clock
 // ratio, so the machine cancels out), then the event core runs again at
-// 2/4/8 workers over an 8-island build to measure shard scaling.
+// 2/4/8 workers over an 8-island build to measure shard scaling. Each
+// size is also checked: with the dither gate closed the two engines'
+// FacilityResults must be bitwise equal, and with the default dither the
+// facility energy and makespan must agree within the 2% envelope
+// test_event_core enforces.
 // --diff-out writes the JSON that bench_guard.py --event-core checks
 // against bench/BENCH_event_core_baseline.json in CI.
+//
+// Exits 1 if any run reports a chaos-invariant violation or any
+// event-vs-oracle check fails, so a CI step running it can fail.
 #include "bench_util.hpp"
 
 #include <chrono>
-#include <thread>
+#include <cmath>
 #include <fstream>
+#include <thread>
 
 #include "common/args.hpp"
 #include "common/error.hpp"
@@ -59,29 +67,83 @@ std::size_t islands_for(std::size_t nodes) {
 
 namespace {
 
-/// Whole-run and core-loop wall seconds for one facility run. The core
-/// wall excludes facility assembly (the same code in the event core and
-/// the oracle), isolating what the two implement differently.
+/// Whole-run and core-loop wall seconds for one facility run, and its
+/// result. The core wall excludes facility assembly (the same code in the
+/// event core and the oracle), isolating what the two implement
+/// differently.
 struct TimedRun {
   double total_s = 0.0;
   double core_s = 0.0;
+  ear::sim::FacilityResult result;
 };
 
 using FacilityEngine =
     ear::sim::FacilityResult (*)(const ear::sim::FacilityConfig&);
+
+/// Failed checks so far (violations and event-vs-oracle mismatches).
+std::size_t g_failures = 0;
+
+void report_violations(const ear::sim::FacilityResult& r, const char* name,
+                       std::size_t nodes) {
+  for (const std::string& v : r.violations) {
+    std::printf("VIOLATION (%s, %zu nodes): %s\n", name, nodes, v.c_str());
+    ++g_failures;
+  }
+}
 
 TimedRun time_facility(FacilityEngine engine, const char* name,
                        std::size_t nodes,
                        const ear::sim::FacilityConfig& cfg) {
   using Clock = std::chrono::steady_clock;
   const auto t0 = Clock::now();
-  const ear::sim::FacilityResult r = engine(cfg);
+  ear::sim::FacilityResult r = engine(cfg);
   const double wall =
       std::chrono::duration<double>(Clock::now() - t0).count();
-  for (const std::string& v : r.violations) {
-    std::printf("VIOLATION (%s, %zu nodes): %s\n", name, nodes, v.c_str());
+  report_violations(r, name, nodes);
+  const double core_s = r.walls.core_s;
+  return {wall, core_s, std::move(r)};
+}
+
+/// The dithered event core against the oracle: facility energy and
+/// makespan must agree within test_event_core's 2% envelope. Per-job
+/// drift is reported, not gated: a job whose end moves by one round can
+/// reorder later admissions and land on another island, which moves its
+/// energy by more than the stretch tolerance while the facility totals
+/// stay put (docs/performance.md, "Closed-form stretches").
+void check_dithered(const ear::sim::FacilityResult& ev,
+                    const ear::sim::FacilityResult& ref, std::size_t nodes) {
+  constexpr double kEnvelope = 0.02;
+  const auto rel = [](double a, double b) {
+    return b != 0.0 ? std::abs(a - b) / std::abs(b) : std::abs(a - b);
+  };
+  const double energy = rel(ev.facility_energy_j, ref.facility_energy_j);
+  const double makespan = rel(ev.makespan_s, ref.makespan_s);
+  std::size_t outside = 0;
+  std::size_t moved = 0;  // of those, started elsewhere or at another time
+  double worst = 0.0;
+  const std::size_t jobs = std::min(ev.jobs.size(), ref.jobs.size());
+  for (std::size_t j = 0; j < jobs; ++j) {
+    const double d = rel(ev.jobs[j].energy_j, ref.jobs[j].energy_j);
+    if (d > kEnvelope) {
+      ++outside;
+      if (ev.jobs[j].island != ref.jobs[j].island ||
+          ev.jobs[j].start_s != ref.jobs[j].start_s) {
+        ++moved;
+      }
+    }
+    worst = std::max(worst, d);
   }
-  return {wall, r.walls.core_s};
+  std::printf("dithered %zu nodes: facility energy %.2e, makespan %.2e "
+              "relative to the oracle; %zu of %zu jobs beyond 2%% "
+              "(worst %.1f%%; %zu of them started on another island or "
+              "round)\n",
+              nodes, energy, makespan, outside, jobs, 100.0 * worst, moved);
+  if (!(energy <= kEnvelope) || !(makespan <= kEnvelope)) {
+    std::printf("MISMATCH (dithered, %zu nodes): facility energy or "
+                "makespan outside the 2%% envelope\n",
+                nodes);
+    ++g_failures;
+  }
 }
 
 }  // namespace
@@ -157,9 +219,7 @@ int main(int argc, char** argv) {
           << r.backfills << ',' << wall << ',' << throughput << ','
           << r.violations.size() << '\n';
     }
-    for (const std::string& v : r.violations) {
-      std::printf("VIOLATION at %zu nodes: %s\n", nodes, v.c_str());
-    }
+    report_violations(r, "event core", nodes);
   }
   table.print();
   std::printf(
@@ -213,6 +273,27 @@ int main(int argc, char** argv) {
           time_facility(sim::run_facility_reference, "oracle", nodes, cfg);
       const TimedRun ev_1t =
           time_facility(sim::run_facility_event, "event core", nodes, cfg);
+      check_dithered(ev_1t.result, ref_1t.result, nodes);
+      {
+        // Dither gate closed: neither engine draws governor randomness,
+        // and the event core must reproduce the oracle bit for bit.
+        sim::FacilityConfig quiet = cfg;
+        quiet.ufs.dither_probability = 0.0;
+        const sim::FacilityResult ev0 = sim::run_facility_event(quiet);
+        const sim::FacilityResult ref0 = sim::run_facility_reference(quiet);
+        report_violations(ev0, "event core, dither 0", nodes);
+        report_violations(ref0, "oracle, dither 0", nodes);
+        const std::string diff = ear::sim::facility_result_difference(ev0, ref0);
+        if (diff.empty()) {
+          std::printf("dither-free %zu nodes: event core bitwise equal to "
+                      "the oracle\n",
+                      nodes);
+        } else {
+          std::printf("MISMATCH (dither 0, %zu nodes): %s differs\n", nodes,
+                      diff.c_str());
+          ++g_failures;
+        }
+      }
       const double speedup =
           ev_1t.total_s > 0.0 ? ref_1t.total_s / ev_1t.total_s : 0.0;
       // Core-loop ratio: facility assembly is the same code in both, so
@@ -227,6 +308,14 @@ int main(int argc, char** argv) {
         cfg.sim_jobs = workers[i];
         ev_w[i] = time_facility(sim::run_facility_event, "event core",
                                 nodes, cfg);
+        const std::string diff = ear::sim::facility_result_difference(ev_w[i].result,
+                                                  ev_1t.result);
+        if (!diff.empty()) {
+          std::printf("MISMATCH (%zu workers, %zu nodes): %s differs from "
+                      "1 worker\n",
+                      workers[i], nodes, diff.c_str());
+          ++g_failures;
+        }
       }
       // Scaling efficiency at 8 workers over core walls (assembly does
       // not parallelise across workers): perfect would be core_1t / 8.
@@ -268,5 +357,9 @@ int main(int argc, char** argv) {
         "event core 1w / (8 * event core 8w).\n");
   }
   bench::footer();
+  if (g_failures > 0) {
+    std::printf("bench_cluster_scale: %zu failed check(s)\n", g_failures);
+    return 1;
+  }
   return 0;
 }

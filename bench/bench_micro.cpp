@@ -117,10 +117,9 @@ constexpr std::size_t kGovernorPeriods = 99;
 
 void BM_GovernorPeriods(benchmark::State& state) {
   const auto cfg = simhw::make_skylake_6148_node();
+  const simhw::HwUfsParams params;
   std::vector<simhw::HwUfsGovernor> govs;
-  for (std::uint64_t s = 1; s <= 2; ++s) {
-    govs.emplace_back(cfg, simhw::HwUfsParams{}, s);
-  }
+  for (std::uint64_t s = 1; s <= 2; ++s) govs.emplace_back(cfg, params, s);
   const simhw::UfsInputs in = governor_inputs();
   for (auto _ : state) {
     benchmark::DoNotOptimize(simhw::HwUfsGovernor::evaluate_periods(

@@ -208,8 +208,12 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
   }
 
   // Serial cross-shard state: the readings buffer and the fault stream
-  // are reduced/drawn in shard-index order at barrier merges only.
+  // are reduced/drawn in shard-index order at barrier merges only; the
+  // job demands are written at admission and only read by the shards.
   EAR_REDUCED_SERIAL std::vector<double> readings(total_nodes, 0.0);
+  EAR_REDUCED_SERIAL std::vector<simhw::WorkDemand> demands(
+      queue.jobs().size());
+  for (Shard& sh : shards) sh.demands = demands.data();
   common::Rng fault_rng(common::mix_seed(cfg.seed, 0xFAC111));
 
   // Persistent spin-barrier crew for the parallel phase (see ShardCrew).
@@ -262,8 +266,7 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
       workload::SyntheticSpec spec = job.work;
       spec.active_cores =
           std::min(spec.active_cores, node_cfg.total_cores());
-      const simhw::WorkDemand demand =
-          workload::make_demand(node_cfg, spec);
+      demands[start.job] = workload::make_demand(node_cfg, spec);
 
       Shard& sh = shards[start.island];
       RunningJob rj{.job = start.job,
@@ -273,7 +276,6 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
       for (std::size_t local : rj.local_nodes) {
         NodeSlot& slot = sh.slots[local];
         slot.job = start.job;
-        slot.demand = demand;
         slot.iters_left = spec.iterations;
         rj.start_inm_j += sh.cluster->node(local).inm().exact().value;
       }

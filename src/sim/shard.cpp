@@ -19,14 +19,15 @@ void Shard::advance_round(double round_s, std::size_t round) {
         node.clock().value < round_end) {
       // One phase-stable stretch: closed-form governor integration in
       // place of the reference loop's iteration-at-a-time stepping.
-      const simhw::StretchSummary s =
-          node.execute_stretch(slot.demand, slot.iters_left, round_end);
+      const simhw::StretchSummary s = node.execute_stretch(
+          demands[slot.job], slot.iters_left, round_end);
       slot.iters_left -= s.iterations;
     }
     const double gap = round_end - node.clock().value;
-    // idle_cached: bitwise-identical to idle() (same deposits, same
-    // governor run) with the constant idle power memoised — the bulk of
-    // a mostly-idle facility's node-rounds.
+    // idle_cached: idle()'s clock, INM exact total and governor state,
+    // bit for bit, with the constant idle power memoised and none of the
+    // counters the facility does not read — the bulk of a mostly-idle
+    // facility's node-rounds.
     if (gap > 0.0) node.idle_cached(common::Secs{gap});
     // The reference loop's reading arithmetic, verbatim: power is the INM
     // delta over the clock delta since the previous round, and a stalled

@@ -36,11 +36,10 @@ namespace ear::sim {
 
 inline constexpr std::size_t kNoJob = std::numeric_limits<std::size_t>::max();
 
-/// Per-node execution/accounting state (one array per shard; the test
-/// oracle's round loop keeps one flat array of the same slots).
+/// Per-node execution/accounting state (one array per shard). The job's
+/// WorkDemand is read from Shard::demands, not copied per node.
 struct NodeSlot {
   std::size_t job = kNoJob;
-  simhw::WorkDemand demand{};
   std::size_t iters_left = 0;
   double prev_inm_j = 0.0;
   double prev_clock_s = 0.0;
@@ -60,6 +59,10 @@ struct Shard {
   simhw::Cluster* cluster = nullptr;
   std::size_t offset = 0;           // first global node index
   std::size_t size = 0;
+  /// Per-job demand, indexed by facility job index: one array for the
+  /// whole facility, written at admission between barriers, read-only
+  /// while the shards advance.
+  const simhw::WorkDemand* demands = nullptr;
 
   EAR_SHARD_LOCAL std::vector<NodeSlot> slots;
   /// Each node's reading for the last advanced round (a copy of its

@@ -12,10 +12,11 @@ Cluster::Cluster(const NodeConfig& cfg, std::size_t count, std::uint64_t seed,
                  NoiseModel noise, HwUfsParams ufs) {
   EAR_CHECK_MSG(count > 0, "a cluster needs at least one node");
   common::SplitMix64 seeder(seed);
-  const auto shared = std::make_shared<const NodeConfig>(cfg);
+  const auto shared =
+      std::make_shared<const NodeParams>(NodeParams{cfg, noise, ufs});
   nodes_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    nodes_.emplace_back(shared, seeder.next(), noise, ufs);
+    nodes_.emplace_back(shared, seeder.next());
   }
 }
 

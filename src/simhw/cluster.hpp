@@ -10,7 +10,8 @@ namespace ear::simhw {
 
 class Cluster {
  public:
-  /// Build `count` nodes sharing one copy of `cfg`, independently seeded.
+  /// Build `count` independently seeded nodes sharing one NodeParams
+  /// block (`cfg`, `noise`, `ufs`), built once here.
   Cluster(const NodeConfig& cfg, std::size_t count, std::uint64_t seed,
           NoiseModel noise = {}, HwUfsParams ufs = {});
 

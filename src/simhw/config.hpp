@@ -68,6 +68,12 @@ struct PowerModel {
   std::size_t gpu_count = 0;
 };
 
+/// Most sockets a simulated node models. Nodes keep their per-socket
+/// state (MSR files, UFS governors, RAPL packages) inline, sized for this;
+/// every shipped config is 2-socket, and larger ones are rejected when a
+/// node is built.
+inline constexpr std::size_t kMaxSockets = 2;
+
 /// Complete static node description.
 struct NodeConfig {
   std::string name;

@@ -63,9 +63,9 @@ Freq hw_ufs_steady_target(const NodeConfig& cfg, const HwUfsParams& params,
   return range.clamp(target);
 }
 
-HwUfsGovernor::HwUfsGovernor(const NodeConfig& cfg, HwUfsParams params,
-                             std::uint64_t seed)
-    : cfg_(&cfg), params_(params), rng_(seed), current_(cfg.uncore.max()) {}
+HwUfsGovernor::HwUfsGovernor(const NodeConfig& cfg,
+                             const HwUfsParams& params, std::uint64_t seed)
+    : cfg_(&cfg), params_(&params), rng_(seed), current_(cfg.uncore.max()) {}
 
 Freq HwUfsGovernor::evaluate(const UfsInputs& in,
                              const UncoreRatioLimit& limit) {
@@ -88,7 +88,9 @@ double HwUfsGovernor::evaluate_periods(std::span<HwUfsGovernor> sockets,
                                        std::size_t periods) {
   if (sockets.empty() || periods == 0) return 0.0;
   const HwUfsGovernor& first = sockets.front();
-  for (const HwUfsGovernor& g : sockets) EAR_EXPECT(g.cfg_ == first.cfg_);
+  for (const HwUfsGovernor& g : sockets) {
+    EAR_EXPECT(g.cfg_ == first.cfg_ && g.params_ == first.params_);
+  }
   const UfsStretchSummary s = first.summarise(in, limit);
   // k of the n periods selected the dithered value: the sum is a pair of
   // integer products, exact as long as it stays below 2^53 kHz (n in the
@@ -105,7 +107,7 @@ double HwUfsGovernor::evaluate_periods(std::span<HwUfsGovernor> sockets,
   }
 
   const std::uint64_t threshold =
-      dither_threshold(first.params_.dither_probability);
+      dither_threshold(first.params_->dither_probability);
   std::uint64_t last_k = 0;
   // Steps the streams of sockets g[J]... in one loop, on local copies, so
   // their independent dependency chains overlap; each stream still sees
@@ -138,7 +140,7 @@ double HwUfsGovernor::evaluate_periods(std::span<HwUfsGovernor> sockets,
 UfsStretchSummary HwUfsGovernor::summarise(
     const UfsInputs& in, const UncoreRatioLimit& limit) const {
   const UncoreRange& range = cfg_->uncore;
-  const Freq target = hw_ufs_steady_target(*cfg_, params_, in);
+  const Freq target = hw_ufs_steady_target(*cfg_, *params_, in);
   // Respect the MSR window (this is how explicit UFS overrides the loop).
   const Freq lo = range.clamp(limit.min_freq);
   const Freq hi = range.clamp(limit.max_freq);
@@ -156,7 +158,7 @@ UfsStretchSummary HwUfsGovernor::summarise(
   // as the no-headroom case.
   UfsStretchSummary out;
   out.steady = window(target);
-  out.can_dither = target > range.min() && params_.dither_probability > 0.0;
+  out.can_dither = target > range.min() && params_->dither_probability > 0.0;
   out.dithered =
       out.can_dither ? window(range.step_down(target)) : out.steady;
   return out;

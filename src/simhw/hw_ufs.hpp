@@ -118,11 +118,18 @@ struct UfsStretchSummary {
 /// draw dithers; 2^53 for p >= 1, every draw dithers.
 [[nodiscard]] std::uint64_t dither_threshold(double p);
 
-/// One governor instance per socket.
+/// One governor instance per socket. It holds pointers to `cfg` and
+/// `params`, which must outlive it (a SimNode's governors point into its
+/// shared NodeParams block); binding either to a temporary is refused at
+/// compile time.
 class HwUfsGovernor {
  public:
-  HwUfsGovernor(const NodeConfig& cfg, HwUfsParams params,
+  HwUfsGovernor(const NodeConfig& cfg, const HwUfsParams& params,
                 std::uint64_t seed);
+  HwUfsGovernor(const NodeConfig&&, const HwUfsParams&, std::uint64_t) =
+      delete;
+  HwUfsGovernor(const NodeConfig&, const HwUfsParams&&, std::uint64_t) =
+      delete;
 
   /// Evaluate the control loop once (one ~10 ms period) and return the
   /// uncore frequency for the next period. `limit` is the current MSR
@@ -181,7 +188,6 @@ class HwUfsGovernor {
   Freq settle_idle(const UncoreRatioLimit& limit);
 
   [[nodiscard]] Freq current() const { return current_; }
-  [[nodiscard]] const HwUfsParams& params() const { return params_; }
   /// The dither stream, for tests that compare its state after a call.
   [[nodiscard]] const common::Rng& rng() const { return rng_; }
 
@@ -191,7 +197,7 @@ class HwUfsGovernor {
       const UfsInputs& in, const UncoreRatioLimit& limit) const;
 
   const NodeConfig* cfg_;
-  HwUfsParams params_;
+  const HwUfsParams* params_;
   common::Rng rng_;
   Freq current_;
 };

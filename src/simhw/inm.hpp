@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "common/error.hpp"
 #include "common/units.hpp"
 
 namespace ear::simhw {
@@ -20,6 +21,13 @@ class NodeManagerCounter {
  public:
   /// Simulator side: add `e` joules consumed over `dt` of simulated time.
   void deposit(Joules e, Secs dt);
+  /// Simulator side, exact total only: add `e` to exact() and leave the
+  /// published reading and elapsed time as they are. For drivers that
+  /// read nothing but exact() (SimNode's facility family).
+  void add_exact(Joules e) {
+    EAR_CHECK_MSG(e.value >= 0.0, "energy must be non-negative");
+    exact_ += e;
+  }
 
   /// IPMI-visible reading: whole joules, frozen at 1 s boundaries.
   [[nodiscard]] std::uint64_t read_joules() const { return published_; }

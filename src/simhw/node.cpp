@@ -52,22 +52,31 @@ double reported_core_khz(const NodeConfig& cfg, const WorkDemand& demand,
                    total
              : 0.0;
 }
+/// One governor per modelled socket, seeded in socket order from the
+/// node seed; the entries past the config's socket count are never run.
+std::array<HwUfsGovernor, kMaxSockets> make_governors(const NodeParams& p,
+                                                      std::uint64_t seed) {
+  static_assert(kMaxSockets == 2);
+  EAR_CHECK_MSG(p.config.sockets >= 1 && p.config.sockets <= kMaxSockets,
+                "node config has more sockets than a node models");
+  common::SplitMix64 seeder(seed ^ 0x5eed);
+  const std::uint64_t s0 = seeder.next();
+  const std::uint64_t s1 = seeder.next();
+  return {HwUfsGovernor(p.config, p.ufs, s0),
+          HwUfsGovernor(p.config, p.ufs, s1)};
+}
 }  // namespace
 
-SimNode::SimNode(std::shared_ptr<const NodeConfig> cfg, std::uint64_t seed,
-                 NoiseModel noise, HwUfsParams ufs)
-    : cfg_(std::move(cfg)),
-      noise_(noise),
+SimNode::SimNode(std::shared_ptr<const NodeParams> params, std::uint64_t seed)
+    : params_(std::move(params)),
       rng_(seed),
-      pstate_(cfg_->pstates.nominal_pstate()),
-      rapl_(cfg_->sockets) {
-  common::SplitMix64 seeder(seed ^ 0x5eed);
-  for (std::size_t s = 0; s < cfg_->sockets; ++s) {
-    msrs_.emplace_back();
-    // After boot the register holds the full supported window.
-    msrs_.back().set_uncore_limit(
-        {.max_freq = cfg_->uncore.max(), .min_freq = cfg_->uncore.min()});
-    governors_.emplace_back(*cfg_, ufs, seeder.next());
+      pstate_(config().pstates.nominal_pstate()),
+      governors_(make_governors(*params_, seed)),
+      rapl_(config().sockets) {
+  // After boot the register holds the full supported window.
+  for (MsrFile& m : msrs_) {
+    m.set_uncore_limit(
+        {.max_freq = config().uncore.max(), .min_freq = config().uncore.min()});
   }
   last_inputs_ = UfsInputs{.requested_core_freq = cpu_freq(),
                            .effective_core_freq = cpu_freq(),
@@ -77,22 +86,24 @@ SimNode::SimNode(std::shared_ptr<const NodeConfig> cfg, std::uint64_t seed,
 }
 
 void SimNode::set_cpu_pstate(Pstate p) {
-  EAR_CHECK_MSG(p < cfg_->pstates.size(), "pstate out of range");
+  EAR_CHECK_MSG(p < config().pstates.size(), "pstate out of range");
   pstate_ = p;
 }
 
 MsrFile& SimNode::msr(std::size_t socket) {
-  EAR_CHECK(socket < msrs_.size());
+  EAR_CHECK(socket < config().sockets);
   return msrs_[socket];
 }
 
 const MsrFile& SimNode::msr(std::size_t socket) const {
-  EAR_CHECK(socket < msrs_.size());
+  EAR_CHECK(socket < config().sockets);
   return msrs_[socket];
 }
 
 void SimNode::set_uncore_limit_all(const UncoreRatioLimit& limit) {
-  for (auto& m : msrs_) m.set_uncore_limit(limit);
+  for (std::size_t s = 0; s < config().sockets; ++s) {
+    msrs_[s].set_uncore_limit(limit);
+  }
 }
 
 UncoreRatioLimit SimNode::uncore_limit() const {
@@ -105,7 +116,7 @@ Freq SimNode::run_governor(const UfsInputs& in, Secs duration) {
   // The loop re-evaluates every ~10 ms; average its output across the
   // periods an iteration spans (bounded to keep long iterations cheap —
   // beyond a few hundred periods the average has converged anyway).
-  const double period = governors_.front().params().evaluation_period_s;
+  const double period = params_->ufs.evaluation_period_s;
   const auto periods = static_cast<std::size_t>(std::clamp(
       duration.value / period, 1.0, 400.0));
   const UncoreRatioLimit limit = msrs_.front().uncore_limit();
@@ -114,7 +125,7 @@ Freq SimNode::run_governor(const UfsInputs& in, Secs duration) {
   // track identically because EAR applies node-level workloads
   // symmetrically.
   const double sum_khz =
-      HwUfsGovernor::evaluate_periods(governors_, in, limit, periods);
+      HwUfsGovernor::evaluate_periods(governors(), in, limit, periods);
   return Freq::khz(static_cast<std::uint64_t>(
       sum_khz / static_cast<double>(periods)));
 }
@@ -124,7 +135,7 @@ UfsInputs SimNode::busy_inputs(const WorkDemand& demand, Freq f_cpu) const {
       .requested_core_freq = f_cpu,
       // The effective clock the governor keys on.
       .effective_core_freq = Freq::khz(static_cast<std::uint64_t>(
-          active_core_khz(*cfg_, demand, f_cpu))),
+          active_core_khz(config(), demand, f_cpu))),
       .bw_utilisation = last_inputs_.bw_utilisation,
       .relaxed_fraction = demand.relaxed_wait_fraction,
       .active_cores = demand.active_cores,
@@ -141,11 +152,26 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
   // First pass: estimate duration at the governor's current setting to
   // know how many control periods the iteration spans.
   const PerfResult estimate = evaluate_iteration(
-      *cfg_, demand, f_cpu, governors_.front().current());
+      config(), demand, f_cpu, governors_.front().current());
   const Freq f_imc = run_governor(inputs, estimate.iter_time);
 
-  return finish_busy(demand, evaluate_iteration(*cfg_, demand, f_cpu, f_imc),
-                     f_cpu, f_imc, inputs);
+  const IterationOutcome out = finish_busy(
+      demand, evaluate_iteration(config(), demand, f_cpu, f_imc), f_cpu,
+      f_imc, inputs);
+  deposit_energy(out.power, out.perf.iter_time);
+
+  // PMU counters (node aggregated).
+  const double dt = out.perf.iter_time.value;
+  const double active = static_cast<double>(demand.active_cores);
+  counters_.instructions += out.perf.instructions_per_core * active;
+  counters_.cycles += out.perf.cycles_per_core * active;
+  counters_.avx512_ops += demand.vpi * demand.instructions_per_core * active;
+  counters_.cas_transactions += out.perf.bytes / 64.0;
+  counters_.cpu_freq_cycles += reported_core_khz(config(), demand, f_cpu) * dt;
+  counters_.imc_freq_cycles += static_cast<double>(f_imc.as_khz()) * dt;
+  counters_.elapsed_seconds += dt;
+  counters_.wait_seconds += demand.comm_seconds + demand.gpu_seconds;
+  return out;
 }
 
 StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
@@ -159,7 +185,7 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
   const Freq f_cpu = cpu_freq();
   UfsInputs inputs = busy_inputs(demand, f_cpu);
   const UncoreRatioLimit limit = msrs_.front().uncore_limit();
-  const double dither_p = governors_.front().params().dither_probability;
+  const double dither_p = params_->ufs.dither_probability;
 
   // The governor is reactive through last iteration's bandwidth
   // utilisation, which is itself a pure function of the chosen IMC
@@ -177,16 +203,18 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
       // tracks exactly as the per-period loop would; the last socket
       // drives the value, like run_governor.
       UfsStretchSummary s{};
-      for (auto& g : governors_) s = g.integrate_stretch(inputs, limit);
+      for (HwUfsGovernor& g : governors()) {
+        s = g.integrate_stretch(inputs, limit);
+      }
       // Dither-free this is bitwise run_governor's khz(sum/periods): the
       // sum is exactly steady*periods, so the quotient is exact and the
       // truncation lands on the same integer. Dithered, the Bernoulli
       // per-period average is replaced by its expectation.
       f_imc = s.expected_freq(dither_p);
-      base = evaluate_iteration(*cfg_, demand, f_cpu, f_imc);
+      base = evaluate_iteration(config(), demand, f_cpu, f_imc);
       cached = true;
     }
-    (void)finish_busy(demand, base, f_cpu, f_imc, inputs);
+    inm_.add_exact(finish_busy(demand, base, f_cpu, f_imc, inputs).energy);
     ++out.iterations;
     out.uncore_freq = f_imc;
   }
@@ -196,36 +224,22 @@ StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
 IterationOutcome SimNode::finish_busy(const WorkDemand& demand,
                                       PerfResult perf, Freq f_cpu,
                                       Freq f_imc, UfsInputs inputs) {
+  const NoiseModel& noise = params_->noise;
   // Run-to-run noise: jitter the wall time (OS, network, DRAM refresh...).
   const double tnoise =
-      std::max(0.5, 1.0 + rng_.normal(0.0, noise_.time_sigma));
+      std::max(0.5, 1.0 + rng_.normal(0.0, noise.time_sigma));
   perf.iter_time.value *= tnoise;
   perf.gbps = perf.iter_time.value > 0.0
                   ? perf.bytes / perf.iter_time.value / 1e9
                   : 0.0;
 
-  PowerBreakdown power = evaluate_power(*cfg_, demand, perf, f_cpu, f_imc);
+  PowerBreakdown power =
+      evaluate_power(config(), demand, perf, f_cpu, f_imc);
   const double pnoise =
-      std::max(0.5, 1.0 + rng_.normal(0.0, noise_.power_sigma));
+      std::max(0.5, 1.0 + rng_.normal(0.0, noise.power_sigma));
   power = scale(power, pnoise);
 
   const Secs dt = perf.iter_time;
-  const Joules energy = deposit_energy(power, dt);
-
-  // PMU counters (node aggregated).
-  const double active = static_cast<double>(demand.active_cores);
-  counters_.instructions += perf.instructions_per_core * active;
-  counters_.cycles += perf.cycles_per_core * active;
-  counters_.avx512_ops +=
-      demand.vpi * demand.instructions_per_core * active;
-  counters_.cas_transactions += perf.bytes / 64.0;
-  counters_.cpu_freq_cycles +=
-      reported_core_khz(*cfg_, demand, f_cpu) * dt.value;
-  counters_.imc_freq_cycles +=
-      static_cast<double>(f_imc.as_khz()) * dt.value;
-  counters_.elapsed_seconds += dt.value;
-  counters_.wait_seconds += demand.comm_seconds + demand.gpu_seconds;
-
   clock_ += dt;
   inputs.bw_utilisation = perf.bw_utilisation;
   last_inputs_ = inputs;
@@ -233,20 +247,19 @@ IterationOutcome SimNode::finish_busy(const WorkDemand& demand,
   return IterationOutcome{.perf = perf,
                           .power = power,
                           .uncore_freq = f_imc,
-                          .energy = energy};
+                          .energy = power.total() * dt};
 }
 
-Joules SimNode::deposit_energy(const PowerBreakdown& power, Secs dt) {
-  const Joules energy = power.total() * dt;
+void SimNode::deposit_energy(const PowerBreakdown& power, Secs dt) {
   // Package energy splits evenly across sockets.
   const Joules pkg_each = power.package() * dt;
-  for (std::size_t s = 0; s < cfg_->sockets; ++s) {
-    rapl_.deposit_pkg(s, Joules{pkg_each.value /
-                                static_cast<double>(cfg_->sockets)});
+  const std::size_t sockets = config().sockets;
+  for (std::size_t s = 0; s < sockets; ++s) {
+    rapl_.deposit_pkg(
+        s, Joules{pkg_each.value / static_cast<double>(sockets)});
   }
   rapl_.deposit_dram(power.dram * dt);
-  inm_.deposit(energy, dt);
-  return energy;
+  inm_.deposit(power.total() * dt, dt);
 }
 
 void SimNode::idle(Secs dt) {
@@ -263,8 +276,14 @@ void SimNode::idle(Secs dt) {
                 .epb = 6},
       dt);
   // The default demand is the idle one: no active cores, no GPU work.
-  finish_idle(evaluate_power(*cfg_, WorkDemand{}, perf, cpu_freq(), f_imc),
-              f_imc, dt);
+  deposit_energy(
+      evaluate_power(config(), WorkDemand{}, perf, cpu_freq(), f_imc), dt);
+  counters_.elapsed_seconds += dt.value;
+  counters_.cpu_freq_cycles +=
+      static_cast<double>(kIdleReportFreq.as_khz()) * dt.value;
+  counters_.imc_freq_cycles +=
+      static_cast<double>(f_imc.as_khz()) * dt.value;
+  clock_ += dt;
 }
 
 void SimNode::idle_cached(Secs dt) {
@@ -279,27 +298,19 @@ void SimNode::idle_cached(Secs dt) {
   // averaging. The last socket drives the value, like run_governor.
   const UncoreRatioLimit limit = msrs_.front().uncore_limit();
   Freq f_imc{};
-  for (auto& g : governors_) f_imc = g.settle_idle(limit);
+  for (HwUfsGovernor& g : governors()) f_imc = g.settle_idle(limit);
   if (!idle_cache_valid_ || idle_cache_f_cpu_.as_khz() != f_cpu.as_khz() ||
       idle_cache_f_imc_.as_khz() != f_imc.as_khz()) {
     PerfResult perf{};
     perf.iter_time = dt;  // unused by the idle breakdown (no GPU work)
-    idle_cache_power_ =
-        evaluate_power(*cfg_, WorkDemand{}, perf, f_cpu, f_imc);
+    idle_cache_w_ =
+        evaluate_power(config(), WorkDemand{}, perf, f_cpu, f_imc).total();
     idle_cache_f_cpu_ = f_cpu;
     idle_cache_f_imc_ = f_imc;
     idle_cache_valid_ = true;
   }
-  finish_idle(idle_cache_power_, f_imc, dt);
-}
-
-void SimNode::finish_idle(const PowerBreakdown& power, Freq f_imc, Secs dt) {
-  (void)deposit_energy(power, dt);
-  counters_.elapsed_seconds += dt.value;
-  counters_.cpu_freq_cycles +=
-      static_cast<double>(kIdleReportFreq.as_khz()) * dt.value;
-  counters_.imc_freq_cycles +=
-      static_cast<double>(f_imc.as_khz()) * dt.value;
+  // idle()'s energy, power.total() * dt, bit for bit.
+  inm_.add_exact(idle_cache_w_ * dt);
   clock_ += dt;
 }
 

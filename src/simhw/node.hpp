@@ -1,18 +1,28 @@
 // SimNode: one simulated compute node.
 //
-// Owns the per-socket MSR files, the hardware UFS governors, the PMU
-// counters and the RAPL/INM energy counters — the node's mutable state.
-// The static NodeConfig is shared, immutable, by every node built from
-// it (Cluster builds one per cluster). The simulation engine drives
-// it one application iteration at a time; EARL/EARD talk to it only
-// through the same narrow interfaces they would use on real hardware
+// Holds the node's mutable state inline: per-socket MSR files and UFS
+// governors, PMU, RAPL and INM counters, clock and noise stream. The
+// immutable part — NodeConfig, noise model, UFS tuning — is one
+// NodeParams block shared by every node of a cluster. EARL/EARD talk to
+// a node only through the narrow interfaces real hardware offers
 // (P-state request, MSR writes, counter reads).
+//
+// Two families of driver methods advance a node; drive a node with one
+// family only:
+//  * execute_iteration / idle — the paper path (run_experiment, the
+//    facility test oracle): every counter is maintained.
+//  * execute_stretch / idle_cached — the facility event core, which reads
+//    only inm().exact() and clock(): they advance the clock, governors,
+//    noise stream, bandwidth feedback and INM exact total (with its
+//    non-negative-energy check), and leave RAPL, PMU and the INM
+//    published reading and elapsed time untouched.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -50,25 +60,36 @@ struct StretchSummary {
                                 // iteration (default when none ran)
 };
 
+/// What every node of a cluster shares and never changes. The node's
+/// governors point into it, so it must not move while a node uses it
+/// (it lives behind a shared_ptr).
+struct NodeParams {
+  NodeConfig config;
+  NoiseModel noise;
+  HwUfsParams ufs;
+};
+
 class SimNode {
  public:
-  SimNode(std::shared_ptr<const NodeConfig> cfg, std::uint64_t seed,
-          NoiseModel noise = {}, HwUfsParams ufs = {});
-  /// A node with a config of its own.
+  /// A node on a shared parameter block. Configs with more than
+  /// kMaxSockets sockets (or none) are rejected.
+  SimNode(std::shared_ptr<const NodeParams> params, std::uint64_t seed);
+  /// A node with a parameter block of its own.
   SimNode(NodeConfig cfg, std::uint64_t seed, NoiseModel noise = {},
           HwUfsParams ufs = {})
-      : SimNode(std::make_shared<const NodeConfig>(std::move(cfg)), seed,
-                noise, ufs) {}
+      : SimNode(std::make_shared<const NodeParams>(
+                    NodeParams{std::move(cfg), noise, ufs}),
+                seed) {}
 
   // --- Control interfaces (what EARD exposes) ---------------------------
   /// Request a P-state for all cores (EAR pins the whole node).
   void set_cpu_pstate(Pstate p);
   void set_cpu_freq(common::Freq f) {
-    set_cpu_pstate(cfg_->pstates.pstate_for(f));
+    set_cpu_pstate(config().pstates.pstate_for(f));
   }
   [[nodiscard]] Pstate cpu_pstate() const { return pstate_; }
   [[nodiscard]] common::Freq cpu_freq() const {
-    return cfg_->pstates.freq(pstate_);
+    return config().pstates.freq(pstate_);
   }
 
   /// Per-socket MSR access (privileged; EARD is the only caller in the
@@ -99,12 +120,12 @@ class SimNode {
   /// The per-iteration governor period loop is replaced by its closed
   /// form (HwUfsGovernor::integrate_stretch), and everything that is
   /// constant across the stretch — effective clock, governor target,
-  /// perf model result, PMU increments — is hoisted out of the loop.
-  /// The per-iteration noise draws still happen, in the same order and
-  /// from the same stream as execute_iteration, so:
+  /// perf model result — is hoisted out of the loop. The per-iteration
+  /// noise draws still happen, in the same order and from the same
+  /// stream as execute_iteration. Facility family (file comment), so:
   ///   * with the dither gate closed (dither_probability == 0, or no
-  ///     headroom above the uncore floor) the node state afterwards is
-  ///     bitwise identical to calling execute_iteration in a loop;
+  ///     headroom above the uncore floor) the state the family maintains
+  ///     is bitwise what a loop of execute_iteration leaves;
   ///   * with dithering, the per-iteration random IMC average is
   ///     replaced by its expectation — bounded by one 100 MHz dither bin
   ///     scaled by the dither probability (see docs/performance.md).
@@ -115,23 +136,27 @@ class SimNode {
   /// Advance idle time (no application work; cores idle).
   void idle(common::Secs dt);
 
-  /// idle(), with the power-model evaluation cached on the
-  /// (core frequency, governor output) pair. Idle power is
-  /// duration-independent — no active cores, no GPU work, zero
-  /// bandwidth — so the breakdown only changes when the P-state or the
-  /// uncore window moves. The governor still runs every call (it owns
-  /// the per-socket UFS state) and every deposit happens per call with
-  /// the same values and order as idle(), so the node state afterwards
-  /// is bitwise identical (proved in test_node.cpp). The event core
-  /// uses this on its round boundaries; the facility test oracle keeps
-  /// the naive recompute as the executable spec.
+  /// idle() in the facility family (file comment), with the idle power
+  /// total cached on the (core frequency, governor output) pair: idle
+  /// power is duration-independent — no active cores, no GPU work, zero
+  /// bandwidth — so it only changes when the P-state or the uncore window
+  /// moves. The governor still runs every call (it owns the per-socket
+  /// UFS state). The state the family maintains is bitwise what idle()
+  /// leaves (proved in test_node.cpp).
   void idle_cached(common::Secs dt);
 
-  [[nodiscard]] const NodeConfig& config() const { return *cfg_; }
+  [[nodiscard]] const NodeConfig& config() const { return params_->config; }
+  /// The shared immutable block (one per Cluster).
+  [[nodiscard]] const NodeParams& params() const { return *params_; }
   /// Current (last-period) uncore frequency of socket 0.
   [[nodiscard]] common::Freq uncore_freq() const;
 
  private:
+  /// The governors of the config's sockets.
+  [[nodiscard]] std::span<HwUfsGovernor> governors() {
+    return {governors_.data(), config().sockets};
+  }
+
   /// Run the HW governor for the periods covering `duration` and return
   /// the time-averaged uncore frequency it produced.
   common::Freq run_governor(const UfsInputs& in, common::Secs duration);
@@ -141,35 +166,35 @@ class SimNode {
                                       Freq f_cpu) const;
 
   /// The tail every busy iteration shares: run-to-run noise on the
-  /// noise-free kernel result `perf`, the power model, the energy and PMU
-  /// deposits, and the clock.
+  /// noise-free kernel result `perf`, the power model, the clock and the
+  /// bandwidth feedback. It deposits no energy or PMU count; each family
+  /// deposits what it maintains.
   IterationOutcome finish_busy(const WorkDemand& demand, PerfResult perf,
                                Freq f_cpu, Freq f_imc, UfsInputs inputs);
 
-  /// The tail idle() and idle_cached() share: deposit `power` over `dt`.
-  void finish_idle(const PowerBreakdown& power, Freq f_imc, common::Secs dt);
+  /// RAPL and INM deposits of `power` held for `dt`.
+  void deposit_energy(const PowerBreakdown& power, common::Secs dt);
 
-  /// RAPL and INM deposits of `power` held for `dt`; returns the energy.
-  common::Joules deposit_energy(const PowerBreakdown& power, common::Secs dt);
-
-  std::shared_ptr<const NodeConfig> cfg_;
-  NoiseModel noise_;
+  // Hot state first: the facility family touches only the members up to
+  // and including msrs_; counters_ and rapl_ are paper-family only.
+  std::shared_ptr<const NodeParams> params_;
   common::Rng rng_;
   Pstate pstate_;
-  std::vector<MsrFile> msrs_;
-  std::vector<HwUfsGovernor> governors_;
-  PmuCounters counters_;
-  RaplDomains rapl_;
-  NodeManagerCounter inm_;
   common::Secs clock_{};
+  NodeManagerCounter inm_;
   // Governor inputs observed on the previous iteration (it is reactive).
   UfsInputs last_inputs_;
-  // Cache for idle_cached(): the idle PowerBreakdown keyed on the
+  // Cache for idle_cached(): the idle power total keyed on the
   // (core, uncore) frequency pair that produced it.
   bool idle_cache_valid_ = false;
   common::Freq idle_cache_f_cpu_{};
   common::Freq idle_cache_f_imc_{};
-  PowerBreakdown idle_cache_power_{};
+  common::Watts idle_cache_w_{};
+  // Per socket; only the first config().sockets entries are live.
+  std::array<HwUfsGovernor, kMaxSockets> governors_;
+  std::array<MsrFile, kMaxSockets> msrs_{};
+  PmuCounters counters_;
+  RaplDomains rapl_;
 };
 
 }  // namespace ear::simhw

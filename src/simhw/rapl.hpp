@@ -7,11 +7,12 @@
 // tooling.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/units.hpp"
+#include "simhw/config.hpp"
 
 namespace ear::simhw {
 
@@ -42,20 +43,22 @@ class RaplCounter {
   double residue_ = 0.0;     // sub-unit remainder
 };
 
-/// The RAPL domains EAR reads per node: PKG per socket plus DRAM.
+/// The RAPL domains EAR reads per node: PKG per socket plus DRAM, held
+/// inline (at most kMaxSockets packages; more is rejected).
 class RaplDomains {
  public:
-  explicit RaplDomains(std::size_t sockets) : pkg_(sockets) {}
+  explicit RaplDomains(std::size_t sockets);
 
   void deposit_pkg(std::size_t socket, Joules e);
   void deposit_dram(Joules e);
 
-  [[nodiscard]] std::size_t sockets() const { return pkg_.size(); }
+  [[nodiscard]] std::size_t sockets() const { return sockets_; }
   [[nodiscard]] const RaplCounter& pkg(std::size_t socket) const;
   [[nodiscard]] const RaplCounter& dram() const { return dram_; }
 
  private:
-  std::vector<RaplCounter> pkg_;
+  std::array<RaplCounter, kMaxSockets> pkg_{};
+  std::size_t sockets_;
   RaplCounter dram_;
 };
 

@@ -1,10 +1,14 @@
 #include "facility_reference.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -27,6 +31,12 @@ struct ActiveJob {
   std::vector<std::size_t> global_nodes;  // facility-wide indices
   std::vector<std::size_t> local_nodes;   // island-local (for release)
   double start_inm_j = 0.0;
+};
+
+/// The oracle's per-node slot: the event core's NodeSlot plus its own
+/// copy of the job's demand.
+struct ReferenceSlot : NodeSlot {
+  simhw::WorkDemand demand{};
 };
 
 }  // namespace
@@ -100,7 +110,7 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
   // Per-node state: each parallel task owns exactly its slots[g]; the
   // power readings are merged from the slots *serially* (node order) so
   // total_w is the same float-addition order every run.
-  EAR_SHARD_LOCAL std::vector<NodeSlot> slots(total_nodes);
+  EAR_SHARD_LOCAL std::vector<ReferenceSlot> slots(total_nodes);
   EAR_REDUCED_SERIAL std::vector<double> readings(total_nodes, 0.0);
   std::vector<ActiveJob> active;
   common::Rng fault_rng(common::mix_seed(cfg.seed, 0xFAC111));
@@ -168,7 +178,7 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
         total_nodes,
         [&](std::size_t g) {
           simhw::SimNode& node = *nodes[g];
-          NodeSlot& slot = slots[g];
+          ReferenceSlot& slot = slots[g];
           if (slot.job != kNoJob) {
             while (slot.iters_left > 0 && node.clock().value < round_end) {
               (void)node.execute_iteration(slot.demand);
@@ -185,7 +195,7 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
     // Ground-truth readings from the INM energy deltas, node order.
     double total_w = 0.0;
     for (std::size_t g = 0; g < total_nodes; ++g) {
-      NodeSlot& slot = slots[g];
+      ReferenceSlot& slot = slots[g];
       const double e = nodes[g]->inm().exact().value;
       const double t = nodes[g]->clock().value;
       const double de = e - slot.prev_inm_j;
@@ -337,6 +347,65 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
   out.walls.core_s = std::chrono::duration<double>(
       std::chrono::steady_clock::now() - wall_t1).count();
   return out;
+}
+
+std::string facility_result_difference(const FacilityResult& a,
+                                       const FacilityResult& b) {
+  std::string diff;
+  const auto same = [&diff](const std::string& what, const auto& x,
+                            const auto& y) {
+    if (!diff.empty()) return;
+    bool equal = false;
+    if constexpr (std::is_same_v<std::decay_t<decltype(x)>, double>) {
+      equal = std::bit_cast<std::uint64_t>(x) ==
+              std::bit_cast<std::uint64_t>(y);
+    } else {
+      equal = x == y;
+    }
+    if (!equal) diff = what;
+  };
+  same("makespan_s", a.makespan_s, b.makespan_s);
+  same("facility_energy_j", a.facility_energy_j, b.facility_energy_j);
+  same("peak_power_w", a.peak_power_w, b.peak_power_w);
+  same("budget_w", a.budget_w, b.budget_w);
+  same("rounds", a.rounds, b.rounds);
+  same("cap_overrun_rounds", a.cap_overrun_rounds, b.cap_overrun_rounds);
+  same("worst_overrun_w", a.worst_overrun_w, b.worst_overrun_w);
+  same("redistributions", a.redistributions, b.redistributions);
+  same("facility_blind_rounds", a.facility_blind_rounds,
+       b.facility_blind_rounds);
+  same("backfills", a.backfills, b.backfills);
+  same("peak_pending_jobs", a.peak_pending_jobs, b.peak_pending_jobs);
+  same("faults", a.faults, b.faults);
+  same("violations", a.violations, b.violations);
+  same("jobs", a.jobs.size(), b.jobs.size());
+  for (std::size_t j = 0; diff.empty() && j < a.jobs.size(); ++j) {
+    const FacilityJobOutcome& x = a.jobs[j];
+    const FacilityJobOutcome& y = b.jobs[j];
+    const std::string job = " of job " + std::to_string(j);
+    same("name" + job, x.name, y.name);
+    same("island" + job, x.island, y.island);
+    same("nodes" + job, x.nodes, y.nodes);
+    same("submit_s" + job, x.submit_s, y.submit_s);
+    same("start_s" + job, x.start_s, y.start_s);
+    same("end_s" + job, x.end_s, y.end_s);
+    same("energy_j" + job, x.energy_j, y.energy_j);
+  }
+  same("islands", a.islands.size(), b.islands.size());
+  for (std::size_t i = 0; diff.empty() && i < a.islands.size(); ++i) {
+    const FacilityIslandOutcome& x = a.islands[i];
+    const FacilityIslandOutcome& y = b.islands[i];
+    const std::string island = " of island " + std::to_string(i);
+    same("energy_j" + island, x.energy_j, y.energy_j);
+    same("final_budget_w" + island, x.final_budget_w, y.final_budget_w);
+    same("final_limit" + island, x.final_limit, y.final_limit);
+    same("throttles" + island, x.throttles, y.throttles);
+    same("releases" + island, x.releases, y.releases);
+    same("blind_rounds" + island, x.blind_rounds, y.blind_rounds);
+    same("missed_readings" + island, x.missed_readings, y.missed_readings);
+    same("resumed_nodes" + island, x.resumed_nodes, y.resumed_nodes);
+  }
+  return diff;
 }
 
 }  // namespace ear::sim

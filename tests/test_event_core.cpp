@@ -22,44 +22,11 @@
 namespace ear::sim {
 namespace {
 
+/// Every simulated field, bit for bit; the message names the first
+/// field that differs.
 void expect_bitwise_equal(const FacilityResult& ev,
                           const FacilityResult& ref) {
-  EXPECT_EQ(ev.makespan_s, ref.makespan_s);
-  EXPECT_EQ(ev.facility_energy_j, ref.facility_energy_j);
-  EXPECT_EQ(ev.peak_power_w, ref.peak_power_w);
-  EXPECT_EQ(ev.budget_w, ref.budget_w);
-  EXPECT_EQ(ev.rounds, ref.rounds);
-  EXPECT_EQ(ev.cap_overrun_rounds, ref.cap_overrun_rounds);
-  EXPECT_EQ(ev.worst_overrun_w, ref.worst_overrun_w);
-  EXPECT_EQ(ev.redistributions, ref.redistributions);
-  EXPECT_EQ(ev.facility_blind_rounds, ref.facility_blind_rounds);
-  EXPECT_EQ(ev.backfills, ref.backfills);
-  EXPECT_EQ(ev.peak_pending_jobs, ref.peak_pending_jobs);
-  EXPECT_TRUE(ev.faults == ref.faults);
-  EXPECT_EQ(ev.violations, ref.violations);
-
-  ASSERT_EQ(ev.jobs.size(), ref.jobs.size());
-  for (std::size_t j = 0; j < ref.jobs.size(); ++j) {
-    EXPECT_EQ(ev.jobs[j].name, ref.jobs[j].name) << "job " << j;
-    EXPECT_EQ(ev.jobs[j].island, ref.jobs[j].island) << "job " << j;
-    EXPECT_EQ(ev.jobs[j].nodes, ref.jobs[j].nodes) << "job " << j;
-    EXPECT_EQ(ev.jobs[j].start_s, ref.jobs[j].start_s) << "job " << j;
-    EXPECT_EQ(ev.jobs[j].end_s, ref.jobs[j].end_s) << "job " << j;
-    EXPECT_EQ(ev.jobs[j].energy_j, ref.jobs[j].energy_j) << "job " << j;
-  }
-  ASSERT_EQ(ev.islands.size(), ref.islands.size());
-  for (std::size_t i = 0; i < ref.islands.size(); ++i) {
-    EXPECT_EQ(ev.islands[i].energy_j, ref.islands[i].energy_j)
-        << "island " << i;
-    EXPECT_EQ(ev.islands[i].final_budget_w, ref.islands[i].final_budget_w);
-    EXPECT_EQ(ev.islands[i].final_limit, ref.islands[i].final_limit);
-    EXPECT_EQ(ev.islands[i].throttles, ref.islands[i].throttles);
-    EXPECT_EQ(ev.islands[i].releases, ref.islands[i].releases);
-    EXPECT_EQ(ev.islands[i].blind_rounds, ref.islands[i].blind_rounds);
-    EXPECT_EQ(ev.islands[i].missed_readings,
-              ref.islands[i].missed_readings);
-    EXPECT_EQ(ev.islands[i].resumed_nodes, ref.islands[i].resumed_nodes);
-  }
+  EXPECT_EQ(facility_result_difference(ev, ref), "");
 }
 
 FacilityConfig dither_free(std::size_t nodes, std::size_t islands,

@@ -143,7 +143,8 @@ TEST(HwUfs, PowersaveEpbShavesOneBin) {
 
 TEST(HwUfsGovernor, RespectsMsrWindow) {
   const NodeConfig c = cfg();
-  HwUfsGovernor gov(c, HwUfsParams{}, 1);
+  const HwUfsParams params;
+  HwUfsGovernor gov(c, params, 1);
   // Pin the window to 1.7 GHz: whatever the target, output is 1.7.
   const UncoreRatioLimit pinned{.max_freq = Freq::ghz(1.7),
                                 .min_freq = Freq::ghz(1.7)};
@@ -154,7 +155,8 @@ TEST(HwUfsGovernor, RespectsMsrWindow) {
 
 TEST(HwUfsGovernor, WindowMaxCapsTarget) {
   const NodeConfig c = cfg();
-  HwUfsGovernor gov(c, HwUfsParams{}, 1);
+  const HwUfsParams params;
+  HwUfsGovernor gov(c, params, 1);
   const UncoreRatioLimit capped{.max_freq = Freq::ghz(2.0),
                                 .min_freq = Freq::ghz(1.2)};
   for (int i = 0; i < 50; ++i) {
@@ -165,7 +167,8 @@ TEST(HwUfsGovernor, WindowMaxCapsTarget) {
 TEST(HwUfsGovernor, DitherAveragesJustBelowTarget) {
   // The paper measures 2.39 GHz averages against a 2.40 limit.
   const NodeConfig c = cfg();
-  HwUfsGovernor gov(c, HwUfsParams{}, 99);
+  const HwUfsParams params;
+  HwUfsGovernor gov(c, params, 99);
   const UncoreRatioLimit open{.max_freq = Freq::ghz(2.4),
                               .min_freq = Freq::ghz(1.2)};
   double sum = 0.0;

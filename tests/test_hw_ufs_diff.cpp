@@ -164,7 +164,8 @@ TEST(HwUfsDiff, DrawsExactlyAtTheThresholdMatchReference) {
 
 TEST(HwUfsDiff, ZeroPeriodsAndNoSocketsAreNoOps) {
   const NodeConfig cfg = make_skylake_6148_node();
-  std::vector<HwUfsGovernor> govs(2, HwUfsGovernor(cfg, HwUfsParams{}, 3));
+  const HwUfsParams params;
+  std::vector<HwUfsGovernor> govs(2, HwUfsGovernor(cfg, params, 3));
   const common::Rng before = govs[0].rng();
   const Case& k = cases().front();
   EXPECT_EQ(HwUfsGovernor::evaluate_periods(govs, k.in, k.limit, 0), 0.0);

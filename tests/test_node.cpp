@@ -144,9 +144,41 @@ TEST(SimNode, DeterministicForEqualSeeds) {
   }
 }
 
+/// Every RAPL raw value and PMU field of `node`, for checking that the
+/// facility family leaves them exactly as they were.
+struct CounterSnapshot {
+  explicit CounterSnapshot(const SimNode& node)
+      : pmu(node.counters()),
+        pkg0(node.rapl().pkg(0).raw()),
+        pkg1(node.rapl().pkg(1).raw()),
+        dram(node.rapl().dram().raw()) {}
+
+  void expect_unchanged(const SimNode& node) const {
+    const PmuCounters& now = node.counters();
+    EXPECT_EQ(now.instructions, pmu.instructions);
+    EXPECT_EQ(now.cycles, pmu.cycles);
+    EXPECT_EQ(now.avx512_ops, pmu.avx512_ops);
+    EXPECT_EQ(now.cas_transactions, pmu.cas_transactions);
+    EXPECT_EQ(now.cpu_freq_cycles, pmu.cpu_freq_cycles);
+    EXPECT_EQ(now.imc_freq_cycles, pmu.imc_freq_cycles);
+    EXPECT_EQ(now.elapsed_seconds, pmu.elapsed_seconds);
+    EXPECT_EQ(now.wait_seconds, pmu.wait_seconds);
+    EXPECT_EQ(node.rapl().pkg(0).raw(), pkg0);
+    EXPECT_EQ(node.rapl().pkg(1).raw(), pkg1);
+    EXPECT_EQ(node.rapl().dram().raw(), dram);
+  }
+
+  PmuCounters pmu;
+  std::uint32_t pkg0;
+  std::uint32_t pkg1;
+  std::uint32_t dram;
+};
+
 // idle_cached() is the event core's fast path; its contract is bitwise
-// equality with idle() under any interleaving of idle stretches,
-// P-state moves, uncore-window writes and busy iterations.
+// equality with idle() on the clock, the INM exact total and the
+// governor state under any interleaving of idle stretches, P-state
+// moves, uncore-window writes and busy iterations — and no RAPL or PMU
+// deposit at all.
 TEST(SimNode, IdleCachedIsBitwiseIdenticalToIdle) {
   SimNode ref(make_skylake_6148_node(), 9);
   SimNode fast(make_skylake_6148_node(), 9);
@@ -156,7 +188,12 @@ TEST(SimNode, IdleCachedIsBitwiseIdenticalToIdle) {
   };
   auto idle_both = [&](double dt) {
     ref.idle(Secs{dt});
+    const CounterSnapshot before(fast);
     fast.idle_cached(Secs{dt});
+    before.expect_unchanged(fast);
+    EXPECT_EQ(ref.inm().exact().value, fast.inm().exact().value);
+    EXPECT_EQ(ref.clock().value, fast.clock().value);
+    EXPECT_EQ(ref.uncore_freq().as_khz(), fast.uncore_freq().as_khz());
   };
   idle_both(10.0);
   idle_both(0.25);            // memo hit: same (f_cpu, f_imc)
@@ -169,15 +206,52 @@ TEST(SimNode, IdleCachedIsBitwiseIdenticalToIdle) {
   step([](SimNode& n) { (void)n.execute_iteration(demand()); });
   idle_both(7.5);             // governor state perturbed by busy work
   idle_both(7.5);             // and hit again
-  EXPECT_EQ(ref.inm().exact().value, fast.inm().exact().value);
-  EXPECT_EQ(ref.clock().value, fast.clock().value);
-  EXPECT_EQ(ref.counters().elapsed_seconds, fast.counters().elapsed_seconds);
-  EXPECT_EQ(ref.counters().cpu_freq_cycles, fast.counters().cpu_freq_cycles);
-  EXPECT_EQ(ref.counters().imc_freq_cycles, fast.counters().imc_freq_cycles);
-  EXPECT_EQ(ref.rapl().pkg(0).raw(), fast.rapl().pkg(0).raw());
-  EXPECT_EQ(ref.rapl().pkg(1).raw(), fast.rapl().pkg(1).raw());
-  EXPECT_EQ(ref.rapl().dram().raw(), fast.rapl().dram().raw());
-  EXPECT_EQ(ref.uncore_freq().as_khz(), fast.uncore_freq().as_khz());
+  EXPECT_GT(fast.inm().exact().value, 0.0);
+}
+
+// execute_stretch() is the event core's busy path. With the dither gate
+// closed its contract is bitwise equality with a loop of
+// execute_iteration() on the clock, the INM exact total, the governor
+// state and the noise stream — and no RAPL or PMU deposit at all.
+TEST(SimNode, ExecuteStretchIsBitwiseIdenticalToIterationLoopWhenGateClosed) {
+  HwUfsParams ufs;
+  ufs.dither_probability = 0.0;
+  // Default (non-zero) noise, so the noise stream is exercised.
+  SimNode ref(make_skylake_6148_node(), 11, NoiseModel{}, ufs);
+  SimNode fast(make_skylake_6148_node(), 11, NoiseModel{}, ufs);
+  auto stretch_both = [&](const WorkDemand& d, std::size_t max_iters,
+                          double stop_before_s) {
+    std::size_t ran = 0;
+    while (ran < max_iters && ref.clock().value < stop_before_s) {
+      (void)ref.execute_iteration(d);
+      ++ran;
+    }
+    const CounterSnapshot before(fast);
+    const StretchSummary s = fast.execute_stretch(d, max_iters, stop_before_s);
+    before.expect_unchanged(fast);
+    EXPECT_EQ(s.iterations, ran);
+    EXPECT_EQ(ref.clock().value, fast.clock().value);
+    EXPECT_EQ(ref.inm().exact().value, fast.inm().exact().value);
+    EXPECT_EQ(ref.uncore_freq().as_khz(), fast.uncore_freq().as_khz());
+  };
+  WorkDemand light = demand();
+  light.bytes = 1e9;  // a second, low-bandwidth operating point
+  stretch_both(demand(), 4, 1e9);                // max_iters bound
+  stretch_both(demand(), 1000, fast.clock().value + 3.0);  // clock bound
+  ref.set_cpu_pstate(Pstate{6});
+  fast.set_cpu_pstate(Pstate{6});
+  stretch_both(light, 7, 1e9);
+  ref.set_uncore_limit_all({Freq::ghz(1.8), Freq::ghz(1.4)});
+  fast.set_uncore_limit_all({Freq::ghz(1.8), Freq::ghz(1.4)});
+  stretch_both(demand(), 5, 1e9);
+  stretch_both(demand(), 5, fast.clock().value);  // starts at the stop
+  // The next noise draws: one more paper-path iteration on each node
+  // must come out bit for bit the same.
+  const IterationOutcome a = ref.execute_iteration(demand());
+  const IterationOutcome b = fast.execute_iteration(demand());
+  EXPECT_EQ(a.perf.iter_time.value, b.perf.iter_time.value);
+  EXPECT_EQ(a.power.total().value, b.power.total().value);
+  EXPECT_EQ(a.energy.value, b.energy.value);
 }
 
 // Nodes live in growing vectors (clusters, benches), so a moved node must
@@ -223,6 +297,32 @@ TEST(Cluster, NodesShareOneConfig) {
   for (const SimNode& node : cluster) {
     EXPECT_EQ(&node.config(), &cluster.node(0).config());
   }
+}
+
+TEST(Cluster, NodesShareOneParameterBlock) {
+  HwUfsParams ufs;
+  ufs.dither_probability = 0.25;
+  const NoiseModel noise{.time_sigma = 0.01, .power_sigma = 0.02};
+  Cluster cluster(make_skylake_6148_node(), 4, 42, noise, ufs);
+  const NodeParams& shared = cluster.node(0).params();
+  EXPECT_EQ(&shared.config, &cluster.node(0).config());
+  EXPECT_EQ(shared.ufs.dither_probability, 0.25);
+  EXPECT_EQ(shared.noise.power_sigma, 0.02);
+  for (const SimNode& node : cluster) {
+    EXPECT_EQ(&node.params(), &shared);
+    EXPECT_EQ(&node.params().ufs, &shared.ufs);
+    EXPECT_EQ(&node.params().noise, &shared.noise);
+  }
+}
+
+TEST(Cluster, MoreSocketsThanModelledRejected) {
+  NodeConfig cfg = make_skylake_6148_node();
+  cfg.sockets = kMaxSockets + 1;
+  EXPECT_THROW(Cluster(cfg, 2, 1), common::InvariantError);
+  EXPECT_THROW(SimNode(cfg, 1), common::InvariantError);
+  EXPECT_THROW(RaplDomains(kMaxSockets + 1), common::InvariantError);
+  cfg.sockets = 0;
+  EXPECT_THROW(Cluster(cfg, 2, 1), common::InvariantError);
 }
 
 TEST(Cluster, IndependentlySeededNodes) {
