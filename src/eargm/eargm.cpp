@@ -42,7 +42,7 @@ void EargmManager::apply_limit() {
   for (eard::NodeDaemon* d : daemons_) d->set_pstate_limit(limit_);
 }
 
-void EargmManager::update(std::span<const double> node_power_w) {
+void EargmManager::step(std::span<const double> node_power_w) {
   EAR_CHECK_MSG(node_power_w.size() == daemons_.size(),
                 "one power reading per managed node");
   double total = 0.0;
@@ -68,30 +68,45 @@ void EargmManager::update(std::span<const double> node_power_w) {
   }
   missed_readings_ += missing;
   last_total_w_ = total;
+  last_step_ = Step::kHeld;
   if (missing == node_power_w.size()) {
     ++blind_rounds_;
-    last_round_blind_ = true;
-    EAR_LOG_WARN("eargm", "no node reported this round; holding limit p%zu",
-                 limit_);
+    last_step_ = Step::kBlind;
     return;
   }
-  last_round_blind_ = false;
 
   if (total > cfg_.cluster_budget.value * cfg_.trigger_margin) {
     if (limit_ < cfg_.deepest_limit) {
       ++limit_;
       ++throttles_;
+      last_step_ = Step::kThrottled;
       apply_limit();
-      EAR_LOG_DEBUG("eargm", "over budget (%.0fW > %.0fW): limit -> p%zu",
-                    total, cfg_.cluster_budget.value, limit_);
     }
   } else if (limit_ > 0 &&
              total < cfg_.cluster_budget.value * cfg_.release_margin) {
     --limit_;
     ++releases_;
+    last_step_ = Step::kReleased;
     apply_limit();
-    EAR_LOG_DEBUG("eargm", "under budget (%.0fW): limit -> p%zu", total,
-                  limit_);
+  }
+}
+
+void EargmManager::log_step() const {
+  switch (last_step_) {
+    case Step::kHeld:
+      break;
+    case Step::kBlind:
+      EAR_LOG_WARN("eargm", "no node reported this round; holding limit p%zu",
+                   limit_);
+      break;
+    case Step::kThrottled:
+      EAR_LOG_DEBUG("eargm", "over budget (%.0fW > %.0fW): limit -> p%zu",
+                    last_total_w_, cfg_.cluster_budget.value, limit_);
+      break;
+    case Step::kReleased:
+      EAR_LOG_DEBUG("eargm", "under budget (%.0fW): limit -> p%zu",
+                    last_total_w_, limit_);
+      break;
   }
 }
 

@@ -46,7 +46,17 @@ class EargmManager {
   /// partial sum — and counts the miss. A round with *no* readings at
   /// all holds the current limit (the manager is blind; acting would be
   /// guessing).
-  void update(std::span<const double> node_power_w);
+  void update(std::span<const double> node_power_w) {
+    step(node_power_w);
+    log_step();
+  }
+
+  /// update() without its log line. Managers of distinct node sets may
+  /// step concurrently; the federation steps its islands inside the
+  /// facility's parallel phase and logs them at the barrier.
+  void step(std::span<const double> node_power_w);
+  /// Log what the last step() did: a blind hold, a throttle or a release.
+  void log_step() const;
 
   /// Re-target the budget (federation tier: the cluster manager hands
   /// each island a fresh share every round). Must stay positive.
@@ -76,11 +86,16 @@ class EargmManager {
   /// Rounds where *no* node reported and the limit was held.
   [[nodiscard]] std::size_t blind_rounds() const { return blind_rounds_; }
   /// Whether the most recent update() round was blind.
-  [[nodiscard]] bool last_round_blind() const { return last_round_blind_; }
+  [[nodiscard]] bool last_round_blind() const {
+    return last_step_ == Step::kBlind;
+  }
   [[nodiscard]] std::size_t nodes() const { return daemons_.size(); }
   [[nodiscard]] const EargmConfig& config() const { return cfg_; }
 
  private:
+  /// What the last step() did to the limit.
+  enum class Step { kHeld, kBlind, kThrottled, kReleased };
+
   void apply_limit();
 
   EargmConfig cfg_;
@@ -96,7 +111,7 @@ class EargmManager {
   std::size_t missed_readings_ = 0;  // monotonic total
   std::size_t resumed_ = 0;
   std::size_t blind_rounds_ = 0;
-  bool last_round_blind_ = false;
+  Step last_step_ = Step::kHeld;
   double last_total_w_ = 0.0;
 };
 

@@ -77,15 +77,25 @@ std::size_t FederatedEargm::total_release_events() const {
 void FederatedEargm::update(std::span<const double> node_power_w) {
   EAR_CHECK_MSG(node_power_w.size() == total_nodes_,
                 "one power reading per facility node");
-  // Island tier: each manager steps its limit against the budget the
-  // cluster tier assigned it last round (causal — this round's demand
-  // shapes next round's split).
   std::size_t offset = 0;
+  for (std::size_t i = 0; i < islands_.size(); ++i) {
+    update_island(i, node_power_w.subspan(offset, sizes_[i]));
+    offset += sizes_[i];
+  }
+  update_cluster();
+}
+
+void FederatedEargm::update_island(std::size_t i,
+                                   std::span<const double> island_power_w) {
+  EAR_CHECK_MSG(i < islands_.size(), "island index out of range");
+  islands_[i]->step(island_power_w);
+}
+
+void FederatedEargm::update_cluster() {
   std::size_t blind = 0;
   double total = 0.0;
   for (std::size_t i = 0; i < islands_.size(); ++i) {
-    islands_[i]->update(node_power_w.subspan(offset, sizes_[i]));
-    offset += sizes_[i];
+    islands_[i]->log_step();
     if (islands_[i]->last_round_blind()) {
       // The island went completely dark: the cluster tier carries its
       // last known aggregate forward, mirroring the node-tier rule.

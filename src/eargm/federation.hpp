@@ -54,8 +54,22 @@ class FederatedEargm {
   /// NaN = the reading never arrived. Island managers step their limits
   /// against their current budgets, then the cluster tier redistributes
   /// the facility cap from the islands' (last known) aggregates for the
-  /// next round.
+  /// next round: update_island for every island in island order, then
+  /// update_cluster.
   void update(std::span<const double> node_power_w);
+
+  /// Island tier for island `i` alone: its manager steps its limit
+  /// against the budget the cluster tier assigned it last round
+  /// (causal — this round's demand shapes next round's split).
+  /// `island_power_w` holds the island's own readings. It touches only
+  /// island i's manager and nodes and logs nothing, so distinct islands
+  /// may step concurrently (the facility event core steps each island
+  /// inside its shard).
+  void update_island(std::size_t i, std::span<const double> island_power_w);
+  /// Cluster tier, serial, once every island has stepped this round: log
+  /// the island steps in island order, then re-split the facility cap
+  /// from the islands' (last known) aggregates.
+  void update_cluster();
 
   [[nodiscard]] std::size_t islands() const { return islands_.size(); }
   [[nodiscard]] std::size_t total_nodes() const { return total_nodes_; }

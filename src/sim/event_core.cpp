@@ -4,9 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -198,22 +199,30 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
   std::vector<std::size_t> island_sizes;
   for (const Shard& sh : shards) island_sizes.push_back(sh.size);
   JobQueue queue(cfg.jobs, island_sizes, cfg.backfill);
+  const std::size_t job_count = cfg.jobs.size();
 
   FacilityResult out;
   out.budget_w = cfg.budget.value;
-  out.jobs.resize(queue.jobs().size());
-  for (std::size_t j = 0; j < queue.jobs().size(); ++j) {
-    out.jobs[j].name = queue.jobs()[j].name;
-    out.jobs[j].submit_s = queue.jobs()[j].submit_s;
+  out.jobs.resize(job_count);
+  for (std::size_t j = 0; j < job_count; ++j) {
+    out.jobs[j].name = cfg.jobs[j].name;
+    out.jobs[j].submit_s = cfg.jobs[j].submit_s;
   }
 
-  // Serial cross-shard state: the readings buffer and the fault stream
-  // are reduced/drawn in shard-index order at barrier merges only; the
-  // job demands are written at admission and only read by the shards.
-  EAR_REDUCED_SERIAL std::vector<double> readings(total_nodes, 0.0);
-  EAR_REDUCED_SERIAL std::vector<simhw::WorkDemand> demands(
-      queue.jobs().size());
-  for (Shard& sh : shards) sh.demands = demands.data();
+  // Serial cross-shard state: the fault stream is drawn into the mask in
+  // (spec, island/node) order at the barrier before each parallel phase;
+  // the job demands are written at admission and only read by the
+  // shards. The stretch plans are the exception: each is written inside
+  // the parallel phase, but only by the shard running its job (jobs
+  // never span islands).
+  EAR_REDUCED_SERIAL std::vector<std::uint8_t> drop_mask(total_nodes, 0);
+  EAR_REDUCED_SERIAL std::vector<simhw::WorkDemand> demands(job_count);
+  EAR_SHARD_LOCAL std::vector<simhw::StretchPlan> plans(job_count);
+  for (Shard& sh : shards) {
+    sh.demands = demands.data();
+    sh.plans = plans.data();
+    sh.federation = federation.get();
+  }
   common::Rng fault_rng(common::mix_seed(cfg.seed, 0xFAC111));
 
   // Persistent spin-barrier crew for the parallel phase (see ShardCrew).
@@ -246,7 +255,7 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
   const double slack_w = cfg.budget.value * cfg.cap_slack_pct / 100.0;
 
   std::vector<RunningJob> running;  // admission order
-  std::vector<std::size_t> job_running(queue.jobs().size(), kNoJob);
+  std::vector<std::size_t> job_running(job_count, kNoJob);
   std::size_t live_jobs = 0;
 
   for (std::size_t round = 0;; ++round) {
@@ -260,7 +269,7 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
     // Admission: arrivals up to `now`, lowest free nodes, backfill —
     // byte-for-byte the reference loop's admission, against shard slots.
     for (JobStart& start : queue.admit(now)) {
-      const FacilityJob& job = queue.jobs()[start.job];
+      const FacilityJob& job = cfg.jobs[start.job];
       const simhw::NodeConfig& node_cfg =
           cfg.islands[start.island].node_config;
       workload::SyntheticSpec spec = job.work;
@@ -290,8 +299,67 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
       ++live_jobs;
     }
 
+    // The overrun test's degraded state: every island at its deepest
+    // limit. Limits move only in the island steps inside the parallel
+    // phase below, so this reads them as the oracle does, after the
+    // advance and before its federation update.
+    bool degraded = true;
+    if (federation) {
+      for (std::size_t i = 0; i < federation->islands(); ++i) {
+        if (federation->island(i).current_limit() <
+            cfg.island_eargm.deepest_limit) {
+          degraded = false;
+          break;
+        }
+      }
+    }
+
+    // Fault tier: one draw per target per active round, in (spec,
+    // island/node) order, into a per-node mask the shards apply after
+    // their advance. The draws do not depend on the readings; whether a
+    // hit counts as a dropped reading does (a reading that is already
+    // NaN is not dropped again), so a node dropout that is the first to
+    // hide a node's reading marks it kDropCounted and the shard counts
+    // it when the reading is finite.
+    for (Shard& sh : shards) {
+      if (sh.drop_mask == nullptr) continue;
+      std::fill_n(drop_mask.begin() + static_cast<std::ptrdiff_t>(sh.offset),
+                  sh.size, std::uint8_t{0});
+      sh.drop_mask = nullptr;
+    }
+    const auto drop = [&drop_mask](Shard& sh, std::size_t n,
+                                   std::uint8_t bits) {
+      std::uint8_t& m = drop_mask[sh.offset + n];
+      if (m == 0) m = bits;
+      sh.drop_mask = drop_mask.data() + sh.offset;
+    };
+    for (const auto& f : cfg.fault_plan.specs) {
+      if (!f.active_at(now)) continue;
+      if (f.family == faults::FaultFamily::kNodeDropout) {
+        for (Shard& sh : shards) {
+          for (std::size_t n = 0; n < sh.size; ++n) {
+            if (!f.applies_to_node(sh.offset + n)) continue;
+            if (fault_rng.uniform() < f.probability) {
+              drop(sh, n, kReadingDropped | kDropCounted);
+            }
+          }
+        }
+      } else if (f.family == faults::FaultFamily::kIslandDropout) {
+        for (Shard& sh : shards) {
+          if (!f.applies_to_island(sh.index)) continue;
+          if (fault_rng.uniform() < f.probability) {
+            ++out.faults.island_dropouts;
+            for (std::size_t n = 0; n < sh.size; ++n) {
+              drop(sh, n, kReadingDropped);
+            }
+          }
+        }
+      }
+    }
+
     // Parallel phase: each worker owns whole shards; every RNG draw in
-    // here comes from a shard-local stream.
+    // here comes from a shard-local stream. Each shard ends by stepping
+    // its island's EARGM manager on its own readings.
     if (crew) {
       crew_round = round;
       crew->run(shards.size());
@@ -299,18 +367,14 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
       for (Shard& sh : shards) sh.advance_round(cfg.round_s, round);
     }
 
-    // Serial merge in shard-index order — the same readings arithmetic,
-    // fault-stream draw order and completion order as the reference
-    // loop's per-round tail. The shards already took this round's
-    // readings; the barrier only loads and sums them, in the reference
+    // Serial merge in shard-index order — the same readings arithmetic
+    // and completion order as the reference loop's per-round tail. The
+    // ground-truth total folds the shards' readings in the reference
     // sweep's node order.
     double total_w = 0.0;
     for (const Shard& sh : shards) {
-      double* dst = readings.data() + sh.offset;
-      for (std::size_t n = 0; n < sh.size; ++n) {
-        dst[n] = sh.readings_w[n];
-        total_w += dst[n];
-      }
+      for (const double w : sh.readings_w) total_w += w;
+      out.faults.dropped_readings += sh.hidden_readings;
     }
     if (!std::isfinite(total_w)) nonfinite = true;
     out.peak_power_w = std::max(out.peak_power_w, total_w);
@@ -321,16 +385,6 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
         ++out.cap_overrun_rounds;
         out.worst_overrun_w = std::max(out.worst_overrun_w, overrun);
       }
-      bool degraded = true;
-      if (federation) {
-        for (std::size_t i = 0; i < federation->islands(); ++i) {
-          if (federation->island(i).current_limit() <
-              cfg.island_eargm.deepest_limit) {
-            degraded = false;
-            break;
-          }
-        }
-      }
       if (now >= last_fault_end_s && overrun > slack_w && !degraded) {
         if (++consecutive_over > cfg.overrun_grace) ++persistent_overruns;
       } else {
@@ -338,33 +392,9 @@ FacilityResult run_facility_event(const FacilityConfig& cfg) {
       }
     }
 
-    // Fault tier: one draw per target per active round, in (spec,
-    // island/node) order.
-    for (const auto& f : cfg.fault_plan.specs) {
-      if (!f.active_at(now)) continue;
-      if (f.family == faults::FaultFamily::kNodeDropout) {
-        for (std::size_t g = 0; g < total_nodes; ++g) {
-          if (!f.applies_to_node(g)) continue;
-          if (fault_rng.uniform() < f.probability) {
-            if (std::isfinite(readings[g])) ++out.faults.dropped_readings;
-            readings[g] = std::numeric_limits<double>::quiet_NaN();
-          }
-        }
-      } else if (f.family == faults::FaultFamily::kIslandDropout) {
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-          if (!f.applies_to_island(i)) continue;
-          if (fault_rng.uniform() < f.probability) {
-            ++out.faults.island_dropouts;
-            for (std::size_t n = 0; n < shards[i].size; ++n) {
-              readings[shards[i].offset + n] =
-                  std::numeric_limits<double>::quiet_NaN();
-            }
-          }
-        }
-      }
-    }
-
-    if (federation) federation->update(readings);
+    // Cluster tier: the islands stepped inside the shards; log their
+    // steps in island order and re-split the cap for the next round.
+    if (federation) federation->update_cluster();
 
     // Completions: settle the jobs the shards listed as drained in
     // admission order; a finished job frees its allocation for next

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <numeric>
 
 #include "common/error.hpp"
@@ -53,10 +54,10 @@ void FreeSet::put(const std::vector<std::size_t>& nodes) {
   count_ += nodes.size();
 }
 
-JobQueue::JobQueue(std::vector<FacilityJob> jobs,
+JobQueue::JobQueue(const std::vector<FacilityJob>& jobs,
                    std::vector<std::size_t> island_sizes, bool backfill)
-    : jobs_(std::move(jobs)), backfill_(backfill) {
-  EAR_CHECK_MSG(!jobs_.empty(), "job queue needs at least one job");
+    : backfill_(backfill) {
+  EAR_CHECK_MSG(!jobs.empty(), "job queue needs at least one job");
   EAR_CHECK_MSG(!island_sizes.empty(), "job queue needs at least one island");
 
   std::size_t widest_island = 0;
@@ -65,7 +66,8 @@ JobQueue::JobQueue(std::vector<FacilityJob> jobs,
     widest_island = std::max(widest_island, size);
     free_.emplace_back(size);
   }
-  for (const FacilityJob& j : jobs_) {
+  requests_.reserve(jobs.size());
+  for (const FacilityJob& j : jobs) {
     if (j.nodes == 0) {
       throw ConfigError("job '" + j.name + "' requests zero nodes");
     }
@@ -75,20 +77,27 @@ JobQueue::JobQueue(std::vector<FacilityJob> jobs,
                         " nodes but the widest island has " +
                         std::to_string(widest_island));
     }
+    requests_.push_back(Request{.nodes = j.nodes, .submit_s = j.submit_s});
   }
 
   // Arrival order: submit time, then submission index — the index pins
   // the tie-break so identical submit times dispatch identically
   // everywhere (same lesson as the campaign LPT sort).
-  arrival_order_.resize(jobs_.size());
+  arrival_order_.resize(requests_.size());
   std::iota(arrival_order_.begin(), arrival_order_.end(), std::size_t{0});
   std::sort(arrival_order_.begin(), arrival_order_.end(),
             [&](std::size_t a, std::size_t b) {
-              if (jobs_[a].submit_s != jobs_[b].submit_s) {
-                return jobs_[a].submit_s < jobs_[b].submit_s;
+              if (requests_[a].submit_s != requests_[b].submit_s) {
+                return requests_[a].submit_s < requests_[b].submit_s;
               }
               return a < b;
             });
+}
+
+std::size_t JobQueue::widest_free() const {
+  std::size_t widest = 0;
+  for (const FreeSet& f : free_) widest = std::max(widest, f.count());
+  return widest;
 }
 
 std::size_t JobQueue::free_nodes(std::size_t island) const {
@@ -98,7 +107,7 @@ std::size_t JobQueue::free_nodes(std::size_t island) const {
 
 std::vector<JobStart> JobQueue::admit(double now_s) {
   while (next_arrival_ < arrival_order_.size() &&
-         jobs_[arrival_order_[next_arrival_]].submit_s <= now_s) {
+         requests_[arrival_order_[next_arrival_]].submit_s <= now_s) {
     pending_.push_back(arrival_order_[next_arrival_]);
     ++next_arrival_;
   }
@@ -107,19 +116,28 @@ std::vector<JobStart> JobQueue::admit(double now_s) {
   std::vector<JobStart> starts;
   std::vector<std::size_t> still_waiting;
   bool head_blocked = false;
+  // A job wider than the widest free island fits nowhere: it waits
+  // without probing the islands, exactly as a probe that found no fit.
+  std::size_t widest = widest_free();
   for (std::size_t qpos = 0; qpos < pending_.size(); ++qpos) {
     const std::size_t j = pending_[qpos];
     if (head_blocked && !backfill_) {
-      still_waiting.push_back(j);
-      continue;
+      // Strict FIFO: nothing behind a blocked head starts.
+      still_waiting.insert(still_waiting.end(),
+                           pending_.begin() + static_cast<std::ptrdiff_t>(qpos),
+                           pending_.end());
+      break;
     }
+    const std::size_t want = requests_[j].nodes;
     // First island (in index order) with enough free nodes wins; the
     // allocation takes its lowest-numbered free nodes.
     std::size_t island = free_.size();
-    for (std::size_t i = 0; i < free_.size(); ++i) {
-      if (free_[i].count() >= jobs_[j].nodes) {
-        island = i;
-        break;
+    if (want <= widest) {
+      for (std::size_t i = 0; i < free_.size(); ++i) {
+        if (free_[i].count() >= want) {
+          island = i;
+          break;
+        }
       }
     }
     if (island == free_.size()) {
@@ -129,8 +147,9 @@ std::vector<JobStart> JobQueue::admit(double now_s) {
     }
     if (head_blocked) ++backfills_;
     JobStart start{.job = j, .island = island, .local_nodes = {}};
-    start.local_nodes.reserve(jobs_[j].nodes);
-    free_[island].take(jobs_[j].nodes, start.local_nodes);
+    start.local_nodes.reserve(want);
+    free_[island].take(want, start.local_nodes);
+    widest = widest_free();
     starts.push_back(std::move(start));
     ++started_;
   }

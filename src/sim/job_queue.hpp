@@ -81,8 +81,10 @@ struct JobStart {
 class JobQueue {
  public:
   /// Throws common::ConfigError when a job is wider than every island
-  /// (it could never start) or requests zero nodes.
-  JobQueue(std::vector<FacilityJob> jobs,
+  /// (it could never start) or requests zero nodes. The queue keeps only
+  /// each job's node count and submit time; names and work stay with
+  /// the caller's list.
+  JobQueue(const std::vector<FacilityJob>& jobs,
            std::vector<std::size_t> island_sizes, bool backfill = true);
 
   /// Admit every job that has arrived by `now_s` and fits, in arrival
@@ -93,12 +95,9 @@ class JobQueue {
   /// Return a finished job's nodes to the island's free pool.
   void release(std::size_t island, const std::vector<std::size_t>& nodes);
 
-  [[nodiscard]] const std::vector<FacilityJob>& jobs() const {
-    return jobs_;
-  }
   [[nodiscard]] std::size_t started() const { return started_; }
   [[nodiscard]] bool all_started() const {
-    return started_ == jobs_.size();
+    return started_ == requests_.size();
   }
   /// Jobs that had arrived but were still waiting after the last admit.
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
@@ -108,7 +107,16 @@ class JobQueue {
   [[nodiscard]] std::size_t free_nodes(std::size_t island) const;
 
  private:
-  std::vector<FacilityJob> jobs_;
+  /// What admission reads of a job.
+  struct Request {
+    std::size_t nodes = 1;
+    double submit_s = 0.0;
+  };
+
+  /// The most free nodes any island has.
+  [[nodiscard]] std::size_t widest_free() const;
+
+  std::vector<Request> requests_;           // by job index
   std::vector<std::size_t> arrival_order_;  // job indices by (submit, id)
   std::vector<FreeSet> free_;               // per island
   std::vector<std::size_t> pending_;  // arrived, waiting (arrival order)

@@ -164,13 +164,6 @@ UfsStretchSummary HwUfsGovernor::summarise(
   return out;
 }
 
-UfsStretchSummary HwUfsGovernor::integrate_stretch(
-    const UfsInputs& in, const UncoreRatioLimit& limit) {
-  const UfsStretchSummary out = summarise(in, limit);
-  current_ = out.steady;
-  return out;
-}
-
 Freq HwUfsGovernor::settle_idle(const UncoreRatioLimit& limit) {
   // hw_ufs_steady_target with active_cores == 0 returns range.min()
   // before touching any other input, and a floor target can never open

@@ -170,14 +170,27 @@ class HwUfsGovernor {
   }
 
   /// Closed-form stretch integration: summarise the per-period behaviour
-  /// under constant inputs without advancing the RNG, and leave
-  /// `current()` at the steady value (the overwhelmingly likely last
-  /// selection). When the dither gate is closed this is *exactly* what
-  /// `evaluate_periods` computes per period; when it is open the summary's
-  /// `expected_khz` replaces the per-period Bernoulli sum with its
-  /// expectation (the event core's documented tolerance source).
+  /// under constant inputs without advancing the RNG. When the dither
+  /// gate is closed this is *exactly* what `evaluate_periods` computes
+  /// per period; when it is open the summary's `expected_freq` replaces
+  /// the per-period Bernoulli sum with its expectation (the event core's
+  /// documented tolerance source).
+  [[nodiscard]] UfsStretchSummary summarise(
+      const UfsInputs& in, const UncoreRatioLimit& limit) const;
+
+  /// Leave `current()` at a summary's steady value, the overwhelmingly
+  /// likely last selection of a stretch. The facility's per-job stretch
+  /// plan computes the summary once and holds it on every node of the job.
+  void hold(Freq steady) { current_ = steady; }
+
+  /// summarise, then hold its steady value (the form perfbench's
+  /// governor probe times).
   UfsStretchSummary integrate_stretch(const UfsInputs& in,
-                                      const UncoreRatioLimit& limit);
+                                      const UncoreRatioLimit& limit) {
+    const UfsStretchSummary s = summarise(in, limit);
+    hold(s.steady);
+    return s;
+  }
 
   /// Idle fast path: with no active cores the steady target is the range
   /// floor (rule 1) and the dither gate is structurally closed (the
@@ -192,10 +205,6 @@ class HwUfsGovernor {
   [[nodiscard]] const common::Rng& rng() const { return rng_; }
 
  private:
-  /// Steady target, windowed dither value and gate for constant inputs.
-  [[nodiscard]] UfsStretchSummary summarise(
-      const UfsInputs& in, const UncoreRatioLimit& limit) const;
-
   const NodeConfig* cfg_;
   const HwUfsParams* params_;
   common::Rng rng_;

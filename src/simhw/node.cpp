@@ -78,11 +78,6 @@ SimNode::SimNode(std::shared_ptr<const NodeParams> params, std::uint64_t seed)
     m.set_uncore_limit(
         {.max_freq = config().uncore.max(), .min_freq = config().uncore.min()});
   }
-  last_inputs_ = UfsInputs{.requested_core_freq = cpu_freq(),
-                           .effective_core_freq = cpu_freq(),
-                           .bw_utilisation = 0.5,
-                           .active_cores = 0,
-                           .epb = 6};
 }
 
 void SimNode::set_cpu_pstate(Pstate p) {
@@ -112,6 +107,11 @@ UncoreRatioLimit SimNode::uncore_limit() const {
 
 Freq SimNode::uncore_freq() const { return governors_.front().current(); }
 
+const HwUfsGovernor& SimNode::governor(std::size_t socket) const {
+  EAR_CHECK(socket < config().sockets);
+  return governors_[socket];
+}
+
 Freq SimNode::run_governor(const UfsInputs& in, Secs duration) {
   // The loop re-evaluates every ~10 ms; average its output across the
   // periods an iteration spans (bounded to keep long iterations cheap —
@@ -136,7 +136,7 @@ UfsInputs SimNode::busy_inputs(const WorkDemand& demand, Freq f_cpu) const {
       // The effective clock the governor keys on.
       .effective_core_freq = Freq::khz(static_cast<std::uint64_t>(
           active_core_khz(config(), demand, f_cpu))),
-      .bw_utilisation = last_inputs_.bw_utilisation,
+      .bw_utilisation = last_bw_,
       .relaxed_fraction = demand.relaxed_wait_fraction,
       .active_cores = demand.active_cores,
       .epb = msrs_.front().read(kMsrEnergyPerfBias),
@@ -157,7 +157,7 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
 
   const IterationOutcome out = finish_busy(
       demand, evaluate_iteration(config(), demand, f_cpu, f_imc), f_cpu,
-      f_imc, inputs);
+      f_imc);
   deposit_energy(out.power, out.perf.iter_time);
 
   // PMU counters (node aggregated).
@@ -174,56 +174,71 @@ IterationOutcome SimNode::execute_iteration(const WorkDemand& demand) {
   return out;
 }
 
+StretchPlan SimNode::make_plan(const WorkDemand& demand, Freq f_cpu,
+                               std::uint64_t uncore_limit_raw,
+                               std::uint64_t epb_raw) const {
+  const UfsInputs inputs = busy_inputs(demand, f_cpu);
+  // Every socket's governor shares this node's config and UFS tuning, so
+  // one summary stands for all of them (run_governor's last socket).
+  const UfsStretchSummary s = governors_.front().summarise(
+      inputs, UncoreRatioLimit::decode(uncore_limit_raw));
+  // Dither-free this is bitwise run_governor's khz(sum/periods): the sum
+  // is exactly steady*periods, so the quotient is exact and the
+  // truncation lands on the same integer. Dithered, the Bernoulli
+  // per-period average is replaced by its expectation.
+  const Freq f_imc = s.expected_freq(params_->ufs.dither_probability);
+  const PerfResult perf = evaluate_iteration(config(), demand, f_cpu, f_imc);
+  return StretchPlan{.pstate = pstate_,
+                     .uncore_limit_raw = uncore_limit_raw,
+                     .epb_raw = epb_raw,
+                     .bw_feedback = last_bw_,
+                     .steady = s.steady,
+                     .f_imc = f_imc,
+                     .iter_time = perf.iter_time,
+                     .bytes = perf.bytes,
+                     .cpi = perf.cpi,
+                     .avx512_fraction = perf.avx512_fraction,
+                     .bw_utilisation = perf.bw_utilisation};
+}
+
 StretchSummary SimNode::execute_stretch(const WorkDemand& demand,
+                                        StretchPlan& plan,
                                         std::size_t max_iters,
                                         double stop_before_s) {
   StretchSummary out;
-
-  // Hoisted invariants: the caller guarantees no control-plane mutation
-  // mid-stretch, so everything the governor keys on except the bandwidth
-  // feedback is fixed for the whole stretch.
+  // The caller guarantees no control-plane mutation mid-stretch, so of
+  // the plan's key only the bandwidth feedback can move inside the loop:
+  // it reaches its fixed point after the first iteration, because it is
+  // a pure function of the plan itself.
   const Freq f_cpu = cpu_freq();
-  UfsInputs inputs = busy_inputs(demand, f_cpu);
-  const UncoreRatioLimit limit = msrs_.front().uncore_limit();
-  const double dither_p = params_->ufs.dither_probability;
-
-  // The governor is reactive through last iteration's bandwidth
-  // utilisation, which is itself a pure function of the chosen IMC
-  // frequency — so the (f_imc, perf) pair reaches a fixed point after a
-  // couple of warmup iterations and the cached state below stops being
-  // recomputed. The recompute key is the bandwidth input alone.
-  bool cached = false;
-  Freq f_imc{};
-  PerfResult base{};
-
+  const std::uint64_t limit_raw = msrs_.front().read(kMsrUncoreRatioLimit);
+  const std::uint64_t epb_raw = msrs_.front().read(kMsrEnergyPerfBias);
   while (out.iterations < max_iters && clock_.value < stop_before_s) {
-    if (!cached || last_inputs_.bw_utilisation != inputs.bw_utilisation) {
-      inputs.bw_utilisation = last_inputs_.bw_utilisation;
-      // Every socket's governor integrates the stretch so current()
-      // tracks exactly as the per-period loop would; the last socket
-      // drives the value, like run_governor.
-      UfsStretchSummary s{};
-      for (HwUfsGovernor& g : governors()) {
-        s = g.integrate_stretch(inputs, limit);
-      }
-      // Dither-free this is bitwise run_governor's khz(sum/periods): the
-      // sum is exactly steady*periods, so the quotient is exact and the
-      // truncation lands on the same integer. Dithered, the Bernoulli
-      // per-period average is replaced by its expectation.
-      f_imc = s.expected_freq(dither_p);
-      base = evaluate_iteration(config(), demand, f_cpu, f_imc);
-      cached = true;
+    if (plan.bw_feedback != last_bw_ || plan.pstate != pstate_ ||
+        plan.uncore_limit_raw != limit_raw || plan.epb_raw != epb_raw) {
+      plan = make_plan(demand, f_cpu, limit_raw, epb_raw);
     }
-    inm_.add_exact(finish_busy(demand, base, f_cpu, f_imc, inputs).energy);
+    PerfResult perf{};
+    perf.iter_time = plan.iter_time;
+    perf.bytes = plan.bytes;
+    perf.cpi = plan.cpi;
+    perf.avx512_fraction = plan.avx512_fraction;
+    perf.bw_utilisation = plan.bw_utilisation;
+    inm_.add_exact(finish_busy(demand, perf, f_cpu, plan.f_imc).energy);
     ++out.iterations;
-    out.uncore_freq = f_imc;
+    out.uncore_freq = plan.f_imc;
+  }
+  // Every socket's governor ends where integrate_stretch leaves it for
+  // the last iteration's key.
+  if (out.iterations > 0) {
+    for (HwUfsGovernor& g : governors()) g.hold(plan.steady);
   }
   return out;
 }
 
 IterationOutcome SimNode::finish_busy(const WorkDemand& demand,
                                       PerfResult perf, Freq f_cpu,
-                                      Freq f_imc, UfsInputs inputs) {
+                                      Freq f_imc) {
   const NoiseModel& noise = params_->noise;
   // Run-to-run noise: jitter the wall time (OS, network, DRAM refresh...).
   const double tnoise =
@@ -241,8 +256,7 @@ IterationOutcome SimNode::finish_busy(const WorkDemand& demand,
 
   const Secs dt = perf.iter_time;
   clock_ += dt;
-  inputs.bw_utilisation = perf.bw_utilisation;
-  last_inputs_ = inputs;
+  last_bw_ = perf.bw_utilisation;
 
   return IterationOutcome{.perf = perf,
                           .power = power,

@@ -20,6 +20,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <utility>
@@ -58,6 +59,34 @@ struct StretchSummary {
   std::size_t iterations = 0;   // iterations actually executed
   common::Freq uncore_freq{};   // closed-form IMC setting of the last
                                 // iteration (default when none ran)
+};
+
+/// One job's busy operating point, shared by every node of the job (the
+/// facility event core keeps one per running job, beside its WorkDemand).
+/// Everything a busy iteration computes before its noise draws is a pure
+/// function of the job's demand and the key below: the governor summary,
+/// the expected IMC frequency and the noise-free kernel result. A job's
+/// nodes share that key after their first iteration (the bandwidth
+/// feedback is itself a function of the plan), so the plan is computed
+/// once per job and operating point and replayed on every node-round.
+/// Valid only for one demand on one NodeParams block: one job, one island.
+struct StretchPlan {
+  // Key: the node state the operating point depends on. A NaN feedback
+  // matches no node, so a default plan is always recomputed.
+  Pstate pstate = 0;
+  std::uint64_t uncore_limit_raw = 0;  // MSR 0x620 as the node holds it
+  std::uint64_t epb_raw = 0;           // MSR 0x1B0 as the node holds it
+  double bw_feedback = std::numeric_limits<double>::quiet_NaN();
+  // Value.
+  common::Freq steady{};  // governor steady selection: every socket's
+                          // current() after the stretch
+  common::Freq f_imc{};   // expected IMC frequency of an iteration
+  // The noise-free kernel result, trimmed to what finish_busy reads.
+  common::Secs iter_time{};
+  double bytes = 0.0;
+  double cpi = 0.0;
+  double avx512_fraction = 0.0;
+  double bw_utilisation = 0.0;
 };
 
 /// What every node of a cluster shares and never changes. The node's
@@ -118,20 +147,33 @@ class SimNode {
   /// invariant (facility rounds only mutate them at barriers).
   ///
   /// The per-iteration governor period loop is replaced by its closed
-  /// form (HwUfsGovernor::integrate_stretch), and everything that is
-  /// constant across the stretch — effective clock, governor target,
-  /// perf model result — is hoisted out of the loop. The per-iteration
-  /// noise draws still happen, in the same order and from the same
-  /// stream as execute_iteration. Facility family (file comment), so:
+  /// form (HwUfsGovernor::summarise), and everything an iteration
+  /// computes before its noise draws — effective clock, governor target,
+  /// perf model result — comes from `plan`, recomputed (and overwritten)
+  /// only when its key no longer matches the node. Every socket's
+  /// current() ends at the plan's steady value, as integrate_stretch
+  /// leaves it. The per-iteration noise draws still happen, in the same
+  /// order and from the same stream as execute_iteration. Facility
+  /// family (file comment), so:
   ///   * with the dither gate closed (dither_probability == 0, or no
   ///     headroom above the uncore floor) the state the family maintains
   ///     is bitwise what a loop of execute_iteration leaves;
   ///   * with dithering, the per-iteration random IMC average is
   ///     replaced by its expectation — bounded by one 100 MHz dither bin
   ///     scaled by the dither probability (see docs/performance.md).
-  StretchSummary execute_stretch(const WorkDemand& demand,
+  ///
+  /// Bitwise the same for any plan passed in: a plan shared by every node
+  /// of a job leaves each node exactly as a fresh plan per call does.
+  StretchSummary execute_stretch(const WorkDemand& demand, StretchPlan& plan,
                                  std::size_t max_iters,
                                  double stop_before_s);
+  /// execute_stretch with a plan of its own.
+  StretchSummary execute_stretch(const WorkDemand& demand,
+                                 std::size_t max_iters,
+                                 double stop_before_s) {
+    StretchPlan plan;
+    return execute_stretch(demand, plan, max_iters, stop_before_s);
+  }
 
   /// Advance idle time (no application work; cores idle).
   void idle(common::Secs dt);
@@ -150,6 +192,10 @@ class SimNode {
   [[nodiscard]] const NodeParams& params() const { return *params_; }
   /// Current (last-period) uncore frequency of socket 0.
   [[nodiscard]] common::Freq uncore_freq() const;
+  /// Socket `socket`'s UFS governor and the node's noise stream, for
+  /// tests that compare their state after a call.
+  [[nodiscard]] const HwUfsGovernor& governor(std::size_t socket) const;
+  [[nodiscard]] const common::Rng& rng() const { return rng_; }
 
  private:
   /// The governors of the config's sockets.
@@ -165,12 +211,17 @@ class SimNode {
   [[nodiscard]] UfsInputs busy_inputs(const WorkDemand& demand,
                                       Freq f_cpu) const;
 
+  /// The stretch plan for the node's current key (execute_stretch).
+  [[nodiscard]] StretchPlan make_plan(const WorkDemand& demand, Freq f_cpu,
+                                      std::uint64_t uncore_limit_raw,
+                                      std::uint64_t epb_raw) const;
+
   /// The tail every busy iteration shares: run-to-run noise on the
   /// noise-free kernel result `perf`, the power model, the clock and the
   /// bandwidth feedback. It deposits no energy or PMU count; each family
   /// deposits what it maintains.
   IterationOutcome finish_busy(const WorkDemand& demand, PerfResult perf,
-                               Freq f_cpu, Freq f_imc, UfsInputs inputs);
+                               Freq f_cpu, Freq f_imc);
 
   /// RAPL and INM deposits of `power` held for `dt`.
   void deposit_energy(const PowerBreakdown& power, common::Secs dt);
@@ -182,8 +233,9 @@ class SimNode {
   Pstate pstate_;
   common::Secs clock_{};
   NodeManagerCounter inm_;
-  // Governor inputs observed on the previous iteration (it is reactive).
-  UfsInputs last_inputs_;
+  // Bandwidth utilisation of the previous busy iteration: the one
+  // governor input a busy iteration feeds back (the loop is reactive).
+  double last_bw_ = 0.5;
   // Cache for idle_cached(): the idle power total keyed on the
   // (core, uncore) frequency pair that produced it.
   bool idle_cache_valid_ = false;

@@ -34,9 +34,10 @@ struct ActiveJob {
 };
 
 /// The oracle's per-node slot: the event core's NodeSlot plus its own
-/// copy of the job's demand.
+/// copy of the job's demand and its held reading.
 struct ReferenceSlot : NodeSlot {
   simhw::WorkDemand demand{};
+  common::Power last_reading{0.0};
 };
 
 }  // namespace
@@ -101,10 +102,10 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
 
   FacilityResult out;
   out.budget_w = cfg.budget.value;
-  out.jobs.resize(queue.jobs().size());
-  for (std::size_t j = 0; j < queue.jobs().size(); ++j) {
-    out.jobs[j].name = queue.jobs()[j].name;
-    out.jobs[j].submit_s = queue.jobs()[j].submit_s;
+  out.jobs.resize(cfg.jobs.size());
+  for (std::size_t j = 0; j < cfg.jobs.size(); ++j) {
+    out.jobs[j].name = cfg.jobs[j].name;
+    out.jobs[j].submit_s = cfg.jobs[j].submit_s;
   }
 
   // Per-node state: each parallel task owns exactly its slots[g]; the
@@ -143,7 +144,7 @@ FacilityResult run_facility_reference(const FacilityConfig& cfg) {
 
     // Admission: arrivals up to `now`, lowest free nodes, backfill.
     for (JobStart& start : queue.admit(now)) {
-      const FacilityJob& job = queue.jobs()[start.job];
+      const FacilityJob& job = cfg.jobs[start.job];
       const simhw::NodeConfig& node_cfg =
           cfg.islands[start.island].node_config;
       workload::SyntheticSpec spec = job.work;

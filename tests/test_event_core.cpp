@@ -84,6 +84,52 @@ TEST(EventCore, BitwiseEqualCappedFaulted) {
   expect_bitwise_equal(run_facility_event(cfg), run_facility_reference(cfg));
 }
 
+TEST(EventCore, BitwiseEqualOverlappingDropoutsInBothOrders) {
+  // The shards apply a fault mask drawn before the round; whether a hit
+  // counts as a dropped reading depends on which spec hid the reading
+  // first, so overlapping node- and island-dropout specs must count
+  // exactly as the oracle's in-place NaN sweep in either list order.
+  const faults::FaultSpec every_node{
+      .family = faults::FaultFamily::kNodeDropout,
+      .start_s = 1.0,
+      .end_s = 12.0,
+      .probability = 0.4};
+  const faults::FaultSpec one_node{.family = faults::FaultFamily::kNodeDropout,
+                                   .node = 9,
+                                   .start_s = 0.0,
+                                   .end_s = 14.0,
+                                   .probability = 0.9};
+  const faults::FaultSpec island{
+      .family = faults::FaultFamily::kIslandDropout,
+      .island = 1,
+      .start_s = 2.0,
+      .end_s = 10.0,
+      .probability = 0.6};
+  for (const bool island_first : {false, true}) {
+    FacilityConfig cfg = dither_free(16, 2, 12, 31);
+    cfg.budget = {16 * 200.0};
+    if (island_first) {
+      cfg.fault_plan.specs = {island, every_node, one_node};
+    } else {
+      cfg.fault_plan.specs = {every_node, one_node, island};
+    }
+    const FacilityResult ref = run_facility_reference(cfg);
+    EXPECT_GT(ref.faults.dropped_readings, 0u);
+    EXPECT_GT(ref.faults.island_dropouts, 0u);
+    EXPECT_GT(ref.faults.missed_readings, 0u);
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "island_first " << island_first
+                                      << " sim_jobs " << jobs);
+      cfg.sim_jobs = jobs;
+      const FacilityResult ev = run_facility_event(cfg);
+      EXPECT_EQ(ev.faults.dropped_readings, ref.faults.dropped_readings);
+      EXPECT_EQ(ev.faults.island_dropouts, ref.faults.island_dropouts);
+      EXPECT_EQ(ev.faults.missed_readings, ref.faults.missed_readings);
+      expect_bitwise_equal(ev, ref);
+    }
+  }
+}
+
 TEST(EventCore, BitwiseEqualStrictFifo) {
   FacilityConfig cfg = dither_free(24, 3, 12, 13);
   cfg.backfill = false;

@@ -130,6 +130,43 @@ TEST(JobQueue, NoBackfillDegradesToStrictFifo) {
   EXPECT_TRUE(q.all_started());
 }
 
+TEST(JobQueue, HeadWiderThanEveryFreeIslandWaits) {
+  // Islands of 4 and 3 nodes: j0 and j1 leave one node free on each, so
+  // the 3-node head j2 fits no island (admission skips its probe) while
+  // the 1-node jobs behind it are narrow enough for either.
+  const std::vector<FacilityJob> stream = {
+      job("j0", 3, 0.0), job("j1", 2, 0.0), job("j2", 3, 1.0),
+      job("j3", 1, 1.0), job("j4", 1, 1.0), job("j5", 1, 1.0)};
+  for (const bool backfill : {true, false}) {
+    JobQueue q(stream, {4, 3}, backfill);
+    ASSERT_EQ(q.admit(0.0).size(), 2u);
+    EXPECT_EQ(q.free_nodes(0), 1u);
+    EXPECT_EQ(q.free_nodes(1), 1u);
+
+    const std::vector<JobStart> starts = q.admit(1.0);
+    if (!backfill) {
+      // Strict FIFO: nothing behind the blocked head starts.
+      EXPECT_TRUE(starts.empty());
+      EXPECT_EQ(q.backfills(), 0u);
+      EXPECT_EQ(q.pending(), 4u);
+      continue;
+    }
+    // j3 and j4 start around the head, one per island, and count as
+    // backfills; j5 finds no free node left.
+    ASSERT_EQ(starts.size(), 2u);
+    EXPECT_EQ(starts[0].job, 3u);
+    EXPECT_EQ(starts[0].island, 0u);
+    EXPECT_EQ(starts[0].local_nodes, (std::vector<std::size_t>{3}));
+    EXPECT_EQ(starts[1].job, 4u);
+    EXPECT_EQ(starts[1].island, 1u);
+    EXPECT_EQ(starts[1].local_nodes, (std::vector<std::size_t>{2}));
+    EXPECT_EQ(q.backfills(), 2u);
+    EXPECT_EQ(q.pending(), 2u);  // j2 and j5
+    EXPECT_EQ(q.free_nodes(0), 0u);
+    EXPECT_EQ(q.free_nodes(1), 0u);
+  }
+}
+
 TEST(JobQueue, ReleasedNodesAreReusedLowestFirst) {
   JobQueue q({job("a", 1, 0.0), job("b", 1, 0.0), job("c", 1, 1.0)}, {2});
   ASSERT_EQ(q.admit(0.0).size(), 2u);  // a -> node 0, b -> node 1

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
@@ -252,6 +254,85 @@ TEST(SimNode, ExecuteStretchIsBitwiseIdenticalToIterationLoopWhenGateClosed) {
   EXPECT_EQ(a.perf.iter_time.value, b.perf.iter_time.value);
   EXPECT_EQ(a.power.total().value, b.power.total().value);
   EXPECT_EQ(a.energy.value, b.energy.value);
+}
+
+/// The next `n` draws of a copy of `rng`: equal draws mean equal state.
+std::vector<std::uint64_t> next_draws(common::Rng rng, std::size_t n = 4) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t i = 0; i < n; ++i) out.push_back(rng.next_u64());
+  return out;
+}
+
+// The facility event core keeps one StretchPlan per job and shares it
+// between the job's nodes. Sharing must be invisible: over many control
+// rounds — each a stretch to the round boundary and an idle tail, as the
+// shard drives them — two nodes on one plan end every round bitwise where
+// the same two nodes with a fresh plan per call do, through P-state and
+// uncore-window changes between rounds and with the dither gate open
+// (where the plan carries the expected IMC frequency) or closed.
+TEST(SimNode, SharedStretchPlanMatchesFreshPlanPerCall) {
+  for (const double dither : {0.0, 0.12}) {
+    SCOPED_TRACE(dither);
+    const auto params = std::make_shared<const NodeParams>(NodeParams{
+        .config = make_skylake_6148_node(),
+        .noise = NoiseModel{},
+        .ufs = HwUfsParams{.dither_probability = dither}});
+    std::vector<SimNode> shared;
+    std::vector<SimNode> fresh;
+    for (std::uint64_t seed : {21u, 22u}) {
+      shared.emplace_back(params, seed);
+      fresh.emplace_back(params, seed);
+    }
+    // A different bandwidth feedback on the second node, so the shared
+    // plan is recomputed whenever the nodes alternate on it at first.
+    WorkDemand light = demand();
+    light.bytes = 1e9;
+    (void)shared[1].execute_iteration(light);
+    (void)fresh[1].execute_iteration(light);
+
+    StretchPlan plan;
+    std::vector<std::size_t> iters_left(2, 60);
+    for (int round = 0; round < 40; ++round) {
+      const double round_end = 1.0 * (round + 1) + 1.0;
+      if (round == 12) {  // an EARGM throttle between rounds
+        for (SimNode& n : shared) n.set_cpu_pstate(Pstate{5});
+        for (SimNode& n : fresh) n.set_cpu_pstate(Pstate{5});
+      }
+      if (round == 24) {  // an explicit uncore window between rounds
+        const UncoreRatioLimit w{Freq::ghz(1.8), Freq::ghz(1.4)};
+        for (SimNode& n : shared) n.set_uncore_limit_all(w);
+        for (SimNode& n : fresh) n.set_uncore_limit_all(w);
+      }
+      for (std::size_t i = 0; i < 2; ++i) {
+        SimNode& a = shared[i];
+        SimNode& b = fresh[i];
+        if (iters_left[i] > 0 && a.clock().value < round_end) {
+          const StretchSummary sa =
+              a.execute_stretch(demand(), plan, iters_left[i], round_end);
+          const StretchSummary sb =
+              b.execute_stretch(demand(), iters_left[i], round_end);
+          ASSERT_EQ(sa.iterations, sb.iterations);
+          EXPECT_EQ(sa.uncore_freq.as_khz(), sb.uncore_freq.as_khz());
+          iters_left[i] -= sa.iterations;
+        }
+        if (round_end > a.clock().value) {
+          a.idle_cached(Secs{round_end - a.clock().value});
+          b.idle_cached(Secs{round_end - b.clock().value});
+        }
+        EXPECT_EQ(a.clock().value, b.clock().value) << round;
+        EXPECT_EQ(a.inm().exact().value, b.inm().exact().value) << round;
+        for (std::size_t s = 0; s < a.config().sockets; ++s) {
+          EXPECT_EQ(a.governor(s).current().as_khz(),
+                    b.governor(s).current().as_khz())
+              << round;
+          EXPECT_EQ(next_draws(a.governor(s).rng()),
+                    next_draws(b.governor(s).rng()));
+        }
+        EXPECT_EQ(next_draws(a.rng()), next_draws(b.rng())) << round;
+      }
+    }
+    EXPECT_EQ(iters_left, (std::vector<std::size_t>{0, 0}));
+  }
 }
 
 // Nodes live in growing vectors (clusters, benches), so a moved node must
